@@ -743,18 +743,25 @@ impl<'a> Parser<'a> {
     /// `len` raw bytes followed by a `\n` separator. A blob running past
     /// EOF (truncation) is `Ok(None)` so callers can tell a torn tail from
     /// corrupt data; a wrong terminator byte with the data fully present
-    /// means a bad length prefix — corruption, an error.
+    /// means a bad length prefix — corruption, an error. So is a length
+    /// whose end offset overflows `usize`: no torn write produces one.
     pub(crate) fn blob_opt(&mut self, len: usize, what: &str) -> BbResult<Option<&'a [u8]>> {
-        if self.pos + len + 1 > self.bytes.len() {
+        let end = self.pos.checked_add(len).ok_or_else(|| {
+            BbError::checkpoint(format!(
+                "blob length {len} for {what} overflows (byte offset {})",
+                self.pos
+            ))
+        })?;
+        if end >= self.bytes.len() {
             return Ok(None);
         }
-        let blob = &self.bytes[self.pos..self.pos + len];
-        if self.bytes[self.pos + len] != b'\n' {
+        let blob = &self.bytes[self.pos..end];
+        if self.bytes[end] != b'\n' {
             return Err(BbError::checkpoint(format!(
                 "blob for {what} not newline-terminated (bad length?)"
             )));
         }
-        self.pos += len + 1;
+        self.pos = end + 1;
         Ok(Some(blob))
     }
 }
@@ -1097,6 +1104,32 @@ mod tests {
         );
         let err = merge_shards(&[a, c]).unwrap_err().to_string();
         assert!(err.contains("differs between shards"), "{err}");
+    }
+
+    /// Set token `field` of the first line starting with `prefix` (a blob
+    /// length) to `usize::MAX`.
+    fn with_max_len(bytes: &[u8], prefix: &str, field: usize) -> Vec<u8> {
+        let text = String::from_utf8_lossy(bytes).into_owned();
+        let line = text.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let mut tok: Vec<String> = line.split(' ').map(String::from).collect();
+        tok[field] = usize::MAX.to_string();
+        text.replacen(line, &tok.join(" "), 1).into_bytes()
+    }
+
+    #[test]
+    fn overflowing_blob_length_is_an_error_not_a_panic() {
+        let bytes = sample().encode();
+        // `unit NAME FILES STDOUT_LEN SUM` and `file NAME LEN SUM`.
+        for (prefix, field) in [("unit fig1 ", 3), ("file ", 2)] {
+            let bad = with_max_len(&bytes, prefix, field);
+            for err in [
+                Checkpoint::decode(&bad).unwrap_err(),
+                Checkpoint::decode_salvaging(&bad).unwrap_err(),
+            ] {
+                assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+                assert!(err.to_string().contains("overflows"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -408,27 +408,27 @@ impl ServeState {
         let n_targets = c.u32().ok_or_else(|| bad("missing target count"))? as usize;
         let (mode, repr) = match mode_tag {
             0 => {
-                let mut rows = Vec::with_capacity(n_targets);
+                let mut rows = Vec::with_capacity(c.cap(n_targets, 4));
                 for _ in 0..n_targets {
                     let n_rows = c.u32().ok_or_else(|| bad("missing row count"))? as usize;
-                    let mut target_rows = Vec::with_capacity(n_rows);
+                    let mut target_rows = Vec::with_capacity(c.cap(n_rows, 24));
                     for _ in 0..n_rows {
                         let window = Window(c.u32().ok_or_else(|| bad("row window"))?);
                         let pop = bb_geo::CityId(c.u32().ok_or_else(|| bad("row pop"))?);
                         let prefix =
                             bb_workload::PrefixId(c.u32().ok_or_else(|| bad("row prefix"))?);
                         let n_routes = c.u32().ok_or_else(|| bad("row route count"))? as usize;
-                        let mut medians = Vec::with_capacity(n_routes);
+                        let mut medians = Vec::with_capacity(c.cap(n_routes, 8));
                         for _ in 0..n_routes {
                             medians.push(f64::from_bits(
                                 c.u64().ok_or_else(|| bad("row median"))?,
                             ));
                         }
-                        let mut utils = Vec::with_capacity(n_routes);
+                        let mut utils = Vec::with_capacity(c.cap(n_routes, 8));
                         for _ in 0..n_routes {
                             utils.push(f64::from_bits(c.u64().ok_or_else(|| bad("row util"))?));
                         }
-                        let mut samples = Vec::with_capacity(n_routes);
+                        let mut samples = Vec::with_capacity(c.cap(n_routes, 4));
                         for _ in 0..n_routes {
                             samples.push(c.u32().ok_or_else(|| bad("row samples"))?);
                         }
@@ -449,7 +449,7 @@ impl ServeState {
                 (ServeMode::Exact, Repr::Exact { rows })
             }
             1 => {
-                let mut groups = Vec::with_capacity(n_targets);
+                let mut groups = Vec::with_capacity(c.cap(n_targets, 32));
                 for _ in 0..n_targets {
                     let windows_total = c.u64().ok_or_else(|| bad("group windows_total"))?;
                     let windows_kept = c.u64().ok_or_else(|| bad("group windows_kept"))?;
@@ -460,7 +460,7 @@ impl ServeState {
                     )
                     .ok_or_else(|| bad("diff sketch"))?;
                     let n_routes = c.u32().ok_or_else(|| bad("route sketch count"))? as usize;
-                    let mut routes = Vec::with_capacity(n_routes);
+                    let mut routes = Vec::with_capacity(c.cap(n_routes, 4));
                     for _ in 0..n_routes {
                         let len = c.u32().ok_or_else(|| bad("route sketch length"))? as usize;
                         routes.push(
@@ -502,6 +502,12 @@ struct ByteCursor<'a> {
 }
 
 impl<'a> ByteCursor<'a> {
+    /// A pre-allocation for `n` decoded records, capped at the number of
+    /// `record_bytes`-sized encodings the remaining input could hold, so a
+    /// corrupt count cannot request more memory than the blob justifies.
+    fn cap(&self, n: usize, record_bytes: usize) -> usize {
+        n.min((self.rest.len() - self.pos) / record_bytes)
+    }
     fn u8(&mut self) -> Option<u8> {
         let b = *self.rest.get(self.pos)?;
         self.pos += 1;
@@ -592,6 +598,23 @@ mod tests {
         let rows = back.into_rows().expect("exact mode retains rows");
         assert_eq!(rows.len(), 8);
         assert!(rows[2].route_median_ms[1].is_nan());
+    }
+
+    #[test]
+    fn huge_counts_are_rejected_without_preallocating() {
+        // Header (magic, mode, eps, windows_done) followed by a target
+        // count of u32::MAX and one row count: a few dozen bytes that
+        // once asked the allocator for ~100 GB.
+        for mode in [0u8, 1] {
+            let mut bytes = STATE_MAGIC.to_vec();
+            bytes.push(mode);
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            let err = ServeState::decode(&bytes).unwrap_err();
+            assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+        }
     }
 
     #[test]

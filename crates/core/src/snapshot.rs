@@ -377,6 +377,17 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_state_length_is_an_error_not_a_panic() {
+        let text = String::from_utf8_lossy(&sample().encode()).into_owned();
+        let line = text.lines().find(|l| l.starts_with("state ")).unwrap();
+        let sum = line.rsplit(' ').next().unwrap();
+        let bad = text.replacen(line, &format!("state {} {sum}", usize::MAX), 1);
+        let err = Snapshot::decode(bad.as_bytes()).unwrap_err();
+        assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn save_load_roundtrip_on_disk() {
         let dir = std::env::temp_dir().join(format!("bbsn-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

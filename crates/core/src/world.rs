@@ -8,11 +8,12 @@ use bb_workload::{generate_workload, Workload, WorkloadConfig};
 use serde::Serialize;
 
 /// How big a world to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Scale {
     /// Small topology for tests and quick runs (~100 ASes).
     Test,
     /// Full default topology (~400 ASes, every country populated).
+    #[default]
     Full,
     /// Denser world (~900 ASes, ~2× cities, finer eyeball granularity) for
     /// users who want statistics closer to provider scale. Experiments run
@@ -23,6 +24,34 @@ pub enum Scale {
     /// for `repro propagate` and targeted studies, not the full figure
     /// pipeline.
     Planet,
+}
+
+impl Scale {
+    /// The `--scale` spelling of this tier; inverse of [`Scale::from_str`].
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Full => "full",
+            Scale::Large => "large",
+            Scale::Planet => "planet",
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "full" => Ok(Scale::Full),
+            "large" => Ok(Scale::Large),
+            "planet" => Ok(Scale::Planet),
+            other => Err(format!(
+                "unknown scale {other:?}; use test|full|large|planet"
+            )),
+        }
+    }
 }
 
 /// Everything needed to build a [`Scenario`].
@@ -299,6 +328,15 @@ mod tests {
         assert_eq!(a.topo.as_count(), b.topo.as_count());
         assert_eq!(a.workload.prefixes.len(), b.workload.prefixes.len());
         assert_eq!(a.provider.pops, b.provider.pops);
+    }
+
+    #[test]
+    fn scale_spelling_round_trips() {
+        for scale in [Scale::Test, Scale::Full, Scale::Large, Scale::Planet] {
+            assert_eq!(scale.as_str().parse::<Scale>(), Ok(scale));
+        }
+        let err = "huge".parse::<Scale>().unwrap_err();
+        assert!(err.contains("unknown scale \"huge\""), "{err}");
     }
 
     #[test]

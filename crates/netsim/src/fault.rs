@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Fault-injection intensity selected by `repro --faults`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum FaultLevel {
     /// No fault plane at all: byte-identical to the pre-fault baseline.
+    #[default]
     Off,
     /// Production-plausible telemetry loss: a few percent of probes lost,
     /// generous timeouts, occasional route withdrawals.

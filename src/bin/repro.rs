@@ -1,24 +1,28 @@
 //! `repro` — regenerate every figure and statistic of the paper.
 //!
 //! ```text
-//! repro [EXPERIMENT] [--scale test|full|large|planet] [--seed N] [--jobs N]
-//!       [--timing] [--faults off|light|heavy] [--keep-going]
-//!       [--snapshot PATH] [--checkpoint DIR] [--resume DIR] [--shard I/N]
-//! repro propagate [--scale ...] [--seed N] [--jobs N] [--snapshot PATH]
-//!       [--origins K] [--prefixes K] [--csv DIR] [--timing]
-//!       [--timing-json PATH]
-//! repro merge SHARD_DIR... [--csv DIR] [--report]
-//! repro orchestrate N [--dir DIR] [--scale ...] [--seed N] [--csv DIR]
-//!       [--chaos off|light|heavy] [--hang-timeout SECS] [--timing-json PATH]
-//! repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E]
-//!       [--mem-limit BYTES] [--epoch-deadline SECS] [--scale ...] [--seed N]
-//!       [--jobs N] [--faults ...] [--csv DIR] [--chaos] [--timing]
-//!       [--timing-json PATH]
+//! usage: repro [EXPERIMENT] [--scale S] [--seed N] [--jobs N] [--faults L]
+//!        [--snapshot PATH] [--csv DIR] [--keep-going] [--checkpoint DIR]
+//!        [--resume DIR] [--shard I/N] [--timing] [--timing-json PATH]
+//! usage: repro merge SHARD_DIR... [--csv DIR] [--report]
+//! usage: repro orchestrate N [--scale S] [--seed N] [--jobs N] [--faults L]
+//!        [--dir DIR] [--csv DIR] [--chaos L] [--hang-timeout SECS]
+//!        [--timing-json PATH]
+//! usage: repro serve [--scale S] [--seed N] [--jobs N] [--faults L] [--dir DIR]
+//!        [--csv DIR] [--chaos] [--windows N] [--epoch K] [--epsilon E]
+//!        [--mem-limit BYTES] [--epoch-deadline SECS] [--timing]
+//!        [--timing-json PATH]
+//! usage: repro propagate [--scale S] [--seed N] [--jobs N] [--snapshot PATH]
+//!        [--csv DIR] [--origins K] [--prefixes K] [--timing] [--timing-json PATH]
 //!
-//! EXPERIMENT: all (default) | fig1 | fig2 | s311 | fig3 | fig4 | fig5 |
-//!             calib | goodput | xpeer | xgroom | xsites | xonenet | xsplit |
-//!             audit
+//! EXPERIMENT: all (default), audit, or one of
+//!   calib fig1 fig2 s311 fig3 fig4 fig5 goodput xonenet xpeer xgroom xsites xecs
+//!   xavail xhybrid xfabric xablate xsplit
 //! ```
+//!
+//! These synopses are the first lines of each command's `--help`, which
+//! is generated from one flag table ([`FLAGS`]): every flag is parsed in
+//! one place, with one diagnostic, for every subcommand that accepts it.
 //!
 //! `repro propagate` is the planet-tier propagation smoke: it builds the
 //! selected world (a generated preset, or a real AS-relationship snapshot
@@ -118,55 +122,608 @@
 //! byte-identical to the unsharded run. Any mismatch is a usage error
 //! (exit 2), never a silent partial merge.
 
+use beating_bgp::bench::PerfReport;
 use beating_bgp::cdn::EgressController;
 use beating_bgp::core::ext::{
     availability, ecs, fabric, grooming, hybrid, peering_reduction, single_network, site_count,
     split_tcp,
 };
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, Heartbeat, UnitResult};
-use beating_bgp::core::{calibration, study_anycast, study_egress, study_tiers};
+use beating_bgp::core::{calibration, export, study_anycast, study_egress, study_tiers};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
-use beating_bgp::exec::supervisor::{self, SupervisionReport};
+use beating_bgp::exec::supervisor;
 use beating_bgp::exec::timing;
 use beating_bgp::netsim::FaultLevel;
 use beating_bgp::measure::{BeaconConfig, ProbeConfig, SprayConfig};
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Names of every experiment in `repro all`, in output order. Must match
-/// the `experiments` vec in `main` (debug-asserted there); `run_orchestrate`
-/// slices this list to plan shard chaos without building the closures.
+/// the `experiments` vec in `run_campaign` (debug-asserted there);
+/// `run_orchestrate` slices this list to plan shard chaos without building
+/// the closures.
 const EXPERIMENT_NAMES: [&str; 18] = [
     "calib", "fig1", "fig2", "s311", "fig3", "fig4", "fig5", "goodput", "xonenet", "xpeer",
     "xgroom", "xsites", "xecs", "xavail", "xhybrid", "xfabric", "xablate", "xsplit",
 ];
 
-struct Args {
-    experiment: String,
+/// The five entry points. Each is one bit, so a flag row names the set of
+/// subcommands that accept it.
+#[derive(Clone, Copy, PartialEq, Default)]
+enum Cmd {
+    /// `repro [EXPERIMENT]`: the supervised experiment campaign.
+    #[default]
+    Run = 1,
+    Merge = 2,
+    Orchestrate = 4,
+    Serve = 8,
+    Propagate = 16,
+}
+
+/// One subcommand's help: how it is invoked and what it does.
+struct CmdSpec {
+    cmd: Cmd,
+    name: &'static str,
+    /// Positional arguments in the synopsis.
+    args: &'static str,
+    about: &'static str,
+    exits: &'static str,
+}
+
+/// The first entry is the default command, named by no subcommand word.
+const CMDS: [CmdSpec; 5] = [
+    CmdSpec {
+        cmd: Cmd::Run,
+        name: "",
+        args: "[EXPERIMENT]",
+        about: "regenerate the paper's figures and statistics; experiments run \
+                concurrently and print in a fixed order, byte-identical for every --jobs",
+        exits: "0 ok, 1 runtime failure, 2 usage error, 130 interrupted (resumable)",
+    },
+    CmdSpec {
+        cmd: Cmd::Merge,
+        name: "merge",
+        args: "SHARD_DIR...",
+        about: "validate the shard checkpoints written by `repro --shard I/N --checkpoint` \
+                and print the campaign stdout, byte-identical to the unsharded run",
+        exits: "0 ok, 2 shards invalid/incomplete/mismatched",
+    },
+    CmdSpec {
+        cmd: Cmd::Orchestrate,
+        name: "orchestrate",
+        args: "N",
+        about: "spawn N shard processes (repro all --shard I/N), restart crashed or hung \
+                ones from their checkpoints (torn manifests are salvaged), then merge",
+        exits: "0 ok, 1 shard failed permanently (checkpoints kept), 2 usage error, \
+                130 interrupted (children killed, resumable)",
+    },
+    CmdSpec {
+        cmd: Cmd::Serve,
+        name: "serve",
+        args: "",
+        about: "streaming daemon: advance the spray campaign in epochs, snapshot state \
+                atomically every epoch, resume after SIGKILL byte-identically",
+        exits: "0 ok, 1 runtime failure, 2 usage error or stale snapshot, \
+                130 interrupted (resumable)",
+    },
+    CmdSpec {
+        cmd: Cmd::Propagate,
+        name: "propagate",
+        args: "",
+        about: "planet-tier propagation smoke: propagate full tables from K eyeball \
+                origins across --jobs workers, check valley-freeness, report interned vs \
+                naive RIB bytes, spray the first K client prefixes",
+        exits: "0 ok, 1 propagation invariant violated, 2 usage error",
+    },
+];
+
+/// Every option of every subcommand, preset to its default; the flag
+/// table's setters fill in what the command line names.
+#[derive(Default)]
+struct Opts {
+    cmd: Cmd,
+    /// The experiment (run), shard directories (merge), shard count
+    /// (orchestrate).
+    positional: Vec<String>,
     scale: Scale,
     seed: u64,
-    csv_dir: Option<std::path::PathBuf>,
     /// Worker count for parallel sections; 0 = available cores.
     jobs: usize,
-    timing: bool,
-    /// Write a structured perf report (phases, counters, cache stats) here.
-    timing_json: Option<std::path::PathBuf>,
-    /// Fault-injection level for the measurement pipelines.
     faults: FaultLevel,
-    /// Keep running surviving experiments when one fails or panics.
+    csv_dir: Option<PathBuf>,
+    timing: bool,
+    timing_json: Option<PathBuf>,
     keep_going: bool,
-    /// Flush a checkpoint manifest here after every completed experiment.
-    checkpoint: Option<std::path::PathBuf>,
-    /// Resume from the checkpoint manifest in this directory (implies
-    /// checkpointing back to the same directory).
-    resume: Option<std::path::PathBuf>,
-    /// `(index, count)` from `--shard I/N`: run only slice I of the
-    /// selected experiments, suppress stdout, checkpoint the units.
-    shard: Option<(usize, usize)>,
-    /// Build every world from this CAIDA-style AS-relationship snapshot
-    /// instead of the generated topology.
     snapshot: Option<String>,
+    checkpoint: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    /// `(index, count)` from `--shard I/N`.
+    shard: Option<(usize, usize)>,
+    report: bool,
+    dir: Option<PathBuf>,
+    /// Orchestrate's chaos level; serve's `--chaos` switch sets `Light`.
+    chaos: FaultLevel,
+    hang_timeout: f64,
+    windows: Option<u64>,
+    epoch: u64,
+    epsilon: f64,
+    mem_limit: Option<u64>,
+    epoch_deadline: f64,
+    origins: usize,
+    prefixes: usize,
+}
+
+/// One command-line flag: its spelling, value placeholder (`None` for a
+/// switch), the subcommands that accept it, its help line, and the setter
+/// that validates the value into [`Opts`]. A setter's `Err` is the flag's
+/// one-line diagnostic.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    cmds: u8,
+    help: &'static str,
+    set: fn(&mut Opts, &str) -> Result<(), String>,
+}
+
+/// Store a validated value: the shape every [`Flag`] setter shares.
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+/// `v` as a number accepted by `ok`, else the diagnostic `need`.
+fn num<T: std::str::FromStr>(v: &str, ok: fn(&T) -> bool, need: &str) -> Result<T, String> {
+    v.parse().ok().filter(ok).ok_or_else(|| need.to_string())
+}
+
+/// `v` as a path, else the diagnostic `need` (a missing value is empty).
+fn path<P: for<'a> From<&'a str>>(v: &str, need: &str) -> Result<Option<P>, String> {
+    match v {
+        "" => Err(need.to_string()),
+        v => Ok(Some(P::from(v))),
+    }
+}
+
+/// `v` through `T`'s `FromStr` (a scale or fault level), the error
+/// prefixed with the flag.
+fn named<T: std::str::FromStr<Err = String>>(v: &str, flag: &str) -> Result<T, String> {
+    v.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+const RUN: u8 = Cmd::Run as u8;
+const MERGE: u8 = Cmd::Merge as u8;
+const ORCH: u8 = Cmd::Orchestrate as u8;
+const SERVE: u8 = Cmd::Serve as u8;
+const PROP: u8 = Cmd::Propagate as u8;
+/// The subcommands that build a world.
+const WORLD: u8 = RUN | ORCH | SERVE | PROP;
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--scale", value: Some("S"), cmds: WORLD,
+        help: "world size: test | full (default) | large | planet",
+        set: |o, v| put(&mut o.scale, named(v, "--scale")) },
+    Flag { name: "--seed", value: Some("N"), cmds: WORLD,
+        help: "seed of every random draw (default 42)",
+        set: |o, v| put(&mut o.seed, num(v, |_| true, "--seed needs a number")) },
+    Flag { name: "--jobs", value: Some("N"), cmds: WORLD,
+        help: "worker threads (default: available cores); output is byte-identical for every N",
+        set: |o, v| put(&mut o.jobs, num(v, |_| true, "--jobs needs a number")) },
+    Flag { name: "--faults", value: Some("L"), cmds: RUN | ORCH | SERVE,
+        help: "measurement faults (probe loss, timeouts, route churn): off (default) | light | \
+               heavy; off is byte-identical to a build without the fault plane",
+        set: |o, v| put(&mut o.faults, named(v, "--faults")) },
+    Flag { name: "--snapshot", value: Some("PATH"), cmds: RUN | PROP,
+        help: "build the worlds from a CAIDA-style AS-relationship snapshot (a|b|-1 \
+               provider-customer, a|b|0 peer) instead of the generated topology",
+        set: |o, v| put(&mut o.snapshot, path(v, "--snapshot needs a file path")) },
+    Flag { name: "--dir", value: Some("DIR"), cmds: ORCH | SERVE,
+        help: "state directory: orchestrate keeps the shard checkpoints here (default: a temp \
+               dir keyed on seed and scale); serve keeps its snapshot here (required)",
+        set: |o, v| put(&mut o.dir, path(v, "--dir needs a directory")) },
+    Flag { name: "--csv", value: Some("DIR"), cmds: WORLD | MERGE,
+        help: "also write the figure data as CSV files into DIR",
+        set: |o, v| {
+            let dir: Option<PathBuf> = path(v, "--csv needs a directory")?;
+            if let Some(d) = &dir {
+                std::fs::create_dir_all(d)
+                    .map_err(|e| format!("--csv: cannot create {}: {e}", d.display()))?;
+            }
+            put(&mut o.csv_dir, Ok(dir))
+        } },
+    Flag { name: "--keep-going", value: None, cmds: RUN,
+        help: "on experiment failure or panic, print a diagnostic and continue; survivors \
+               print, exit code 1",
+        set: |o, _| put(&mut o.keep_going, Ok(true)) },
+    Flag { name: "--checkpoint", value: Some("DIR"), cmds: RUN,
+        help: "flush a resumable checkpoint manifest after each completed experiment; \
+               SIGINT/SIGTERM drain gracefully",
+        set: |o, v| put(&mut o.checkpoint, path(v, "--checkpoint needs a directory")) },
+    Flag { name: "--resume", value: Some("DIR"), cmds: RUN,
+        help: "replay completed experiments from DIR's checkpoint (a stale one exits 2), \
+               run the rest",
+        set: |o, v| put(&mut o.resume, path(v, "--resume needs a directory")) },
+    Flag { name: "--shard", value: Some("I/N"), cmds: RUN,
+        help: "run slice I of N of the selected experiments into the checkpoint (no \
+               stdout); `repro merge` stitches the shards",
+        set: |o, v| match v.split_once('/').map(|(i, n)| (i.parse(), n.parse())) {
+            Some((Ok(i), Ok(n))) if i < n => put(&mut o.shard, Ok(Some((i, n)))),
+            _ => Err(format!("--shard: bad spec {v:?}; need I/N with 0 <= I < N")),
+        } },
+    Flag { name: "--report", value: None, cmds: MERGE,
+        help: "print a per-shard diagnosis (salvaged/corrupt manifests, missing experiments, \
+               key mismatches) before any failure exit",
+        set: |o, _| put(&mut o.report, Ok(true)) },
+    Flag { name: "--chaos", value: Some("L"), cmds: ORCH,
+        help: "seed-keyed process faults: off (default) | light = one shard crashes | heavy = \
+               one stalls, the rest crash, one manifest is torn",
+        set: |o, v| put(&mut o.chaos, named(v, "--chaos")) },
+    Flag { name: "--chaos", value: None, cmds: SERVE,
+        help: "crash (exit 101) after a seed-keyed epoch's snapshot lands; fresh runs only",
+        set: |o, _| put(&mut o.chaos, Ok(FaultLevel::Light)) },
+    Flag { name: "--hang-timeout", value: Some("SECS"), cmds: ORCH,
+        help: "restart a shard whose heartbeat has not changed for SECS (default 30)",
+        set: |o, v| put(&mut o.hang_timeout,
+            num(v, |s| s.is_finite() && *s >= 0.0, "--hang-timeout needs seconds >= 0")) },
+    Flag { name: "--windows", value: Some("N"), cmds: SERVE,
+        help: "stop after N measurement windows (default: the batch campaign's horizon)",
+        set: |o, v| put(&mut o.windows, num(v, |_| true, "--windows needs a number").map(Some)) },
+    Flag { name: "--epoch", value: Some("K"), cmds: SERVE,
+        help: "windows per epoch; state is snapshotted at every epoch boundary (default 32)",
+        set: |o, v| put(&mut o.epoch, num(v, |&k| k >= 1, "--epoch needs a window count >= 1")) },
+    Flag { name: "--epsilon", value: Some("E"), cmds: SERVE,
+        help: "0 (default) keeps every row; E > 0 folds rows into bounded-memory quantile \
+               sketches",
+        set: |o, v| put(&mut o.epsilon,
+            num(v, |e| (0.0..1.0).contains(e), "--epsilon needs a value in [0, 1)")) },
+    Flag { name: "--mem-limit", value: Some("BYTES"), cmds: SERVE,
+        help: "coarsen the sketches (halve memory, double E) whenever resident state exceeds \
+               BYTES; needs --epsilon E > 0",
+        set: |o, v| put(&mut o.mem_limit,
+            num(v, |&b| b > 0, "--mem-limit needs a byte count > 0").map(Some)) },
+    Flag { name: "--epoch-deadline", value: Some("SECS"), cmds: SERVE,
+        help: "count epochs slower than SECS (default 60); never changes the output",
+        set: |o, v| put(&mut o.epoch_deadline,
+            num(v, |s| s.is_finite() && *s > 0.0, "--epoch-deadline needs seconds > 0")) },
+    Flag { name: "--origins", value: Some("K"), cmds: PROP,
+        help: "eyeball ASes to propagate full tables from (default 16)",
+        set: |o, v| put(&mut o.origins, num(v, |&n| n >= 1, "--origins needs a count >= 1")) },
+    Flag { name: "--prefixes", value: Some("K"), cmds: PROP,
+        help: "client prefixes in the spray slice (default 64)",
+        set: |o, v| put(&mut o.prefixes, num(v, |&n| n >= 1, "--prefixes needs a count >= 1")) },
+    Flag { name: "--timing", value: None, cmds: RUN | SERVE | PROP,
+        help: "per-phase wall-clock, sample counters and cache stats on stderr",
+        set: |o, _| put(&mut o.timing, Ok(true)) },
+    Flag { name: "--timing-json", value: Some("PATH"), cmds: WORLD,
+        help: "write the structured perf report (phases, counters, caches, samples/s) as JSON",
+        set: |o, v| put(&mut o.timing_json, path(v, "--timing-json needs a file path")) },
+];
+
+/// Print a usage diagnostic for `cmd` — one line, nothing on stdout — and
+/// exit 2, the CLI's usage-error contract.
+fn usage(cmd: Cmd, msg: &str) -> ! {
+    exit_with(cmd, msg, 2)
+}
+
+/// Print a runtime-failure diagnostic for `cmd` and exit 1.
+fn fail(cmd: Cmd, msg: &str) -> ! {
+    exit_with(cmd, msg, 1)
+}
+
+/// A durable write failed. The atomic writers never tear, so the last
+/// complete state in `dir` is intact: say so, say how to resume, exit 1.
+fn fail_closed(cmd: Cmd, what: &str, e: &dyn std::fmt::Display, dir: &std::path::Path) -> ! {
+    let how = match cmd {
+        Cmd::Run => "rerun with --resume",
+        _ => "rerun the same command to resume",
+    };
+    let dir = dir.display();
+    fail(
+        cmd,
+        &format!("{what} failed: {e}; the state in {dir} is intact — {how} after freeing space"),
+    )
+}
+
+/// The drain report on stderr — `title` framing one indented line per
+/// entry — then exit 130.
+fn interrupted(title: &str, lines: &[String]) -> ! {
+    eprintln!("=== {title} ===");
+    for line in lines {
+        eprintln!("  {line}");
+    }
+    eprintln!("=== END INTERRUPTED ===");
+    std::process::exit(130);
+}
+
+fn exit_with(cmd: Cmd, msg: &str, code: i32) -> ! {
+    match CMDS.iter().find(|c| c.cmd == cmd).map(|c| c.name) {
+        Some("") | None => eprintln!("repro: {msg}"),
+        Some(name) => eprintln!("repro {name}: {msg}"),
+    }
+    std::process::exit(code);
+}
+
+/// The one argv parse: pick the subcommand, then feed every flag through
+/// its [`FLAGS`] row. A value-taking flag consumes the next argument (a
+/// missing one reaches the setter as ""), so each flag has exactly one
+/// diagnostic.
+fn parse_args(argv: &[String]) -> Opts {
+    let spec = match argv.first() {
+        Some(a) => CMDS[1..].iter().find(|c| c.name == a).unwrap_or(&CMDS[0]),
+        None => &CMDS[0],
+    };
+    let mut o = Opts {
+        cmd: spec.cmd,
+        seed: 42,
+        hang_timeout: 30.0,
+        epoch: 32,
+        epoch_deadline: 60.0,
+        origins: 16,
+        prefixes: 64,
+        ..Default::default()
+    };
+    let mut args = argv[usize::from(spec.cmd != Cmd::Run)..].iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{}", help(spec));
+            std::process::exit(0);
+        }
+        if !arg.starts_with("--") {
+            if spec.args.is_empty() {
+                usage(spec.cmd, &format!("unexpected argument {arg:?}"));
+            }
+            o.positional.push(arg.clone());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg && f.cmds & spec.cmd as u8 != 0)
+            .unwrap_or_else(|| usage(spec.cmd, &format!("unknown flag {arg:?}")));
+        let value = match flag.value {
+            Some(_) => args.next().map_or("", String::as_str),
+            None => "",
+        };
+        if let Err(msg) = (flag.set)(&mut o, value) {
+            usage(spec.cmd, &msg);
+        }
+    }
+    o
+}
+
+/// `--help` for one subcommand, generated from [`CMDS`] and [`FLAGS`].
+fn help(spec: &CmdSpec) -> String {
+    let flags: Vec<(String, &str)> = FLAGS
+        .iter()
+        .filter(|f| f.cmds & spec.cmd as u8 != 0)
+        .map(|f| match f.value {
+            Some(v) => (format!("{} {v}", f.name), f.help),
+            None => (f.name.to_string(), f.help),
+        })
+        .collect();
+    // Wrap the synopsis between words, never inside a `[--flag VALUE]`.
+    let words = ["repro", spec.name, spec.args]
+        .into_iter()
+        .filter(|w| !w.is_empty());
+    let brackets: Vec<String> = flags.iter().map(|(f, _)| format!("[{f}]")).collect();
+    let synopsis = wrap(words.chain(brackets.iter().map(String::as_str)), 7);
+    let mut out = format!(
+        "usage: {synopsis}\n{}\n\n",
+        wrap(spec.about.split_whitespace(), 0)
+    );
+    let width = flags.iter().map(|(f, _)| f.len()).max().unwrap_or(0) + 2;
+    for (flag, text) in &flags {
+        let _ = writeln!(
+            out,
+            "  {flag:width$}{}",
+            wrap(text.split_whitespace(), width + 2)
+        );
+    }
+    if spec.cmd == Cmd::Run {
+        let _ = writeln!(
+            out,
+            "\nEXPERIMENT: all (default), audit, or one of\n  {}",
+            wrap(EXPERIMENT_NAMES, 2)
+        );
+        let _ = writeln!(out, "\ncommands (`repro COMMAND --help` for each):");
+        for c in &CMDS[1..] {
+            let _ = writeln!(
+                out,
+                "  {:13}{}",
+                c.name,
+                wrap(c.about.split_whitespace(), 15)
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\nexit codes: {}",
+        wrap(spec.exits.split_whitespace(), 12)
+    );
+    out
+}
+
+/// Greedy word wrap at 80 columns for text starting at column `indent`;
+/// continuation lines are indented to `indent`.
+fn wrap<'a>(words: impl IntoIterator<Item = &'a str>, indent: usize) -> String {
+    let mut out = String::new();
+    let mut col = indent;
+    for word in words {
+        if col > indent && col + 1 + word.len() > 80 {
+            let _ = write!(out, "\n{:indent$}", "");
+            col = indent;
+        } else if col > indent {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(word);
+        col += word.len();
+    }
+    out
+}
+
+/// Test and chaos hooks read from the environment. Every subcommand
+/// validates all of them at startup, so a malformed value is a usage
+/// error (exit 2) even when the hook would never fire.
+#[derive(Default)]
+struct Hooks {
+    /// `BB_REPRO_POISON=<name>[:k]`: panic `name`'s first k attempts
+    /// (every attempt without `:k`).
+    poison: Option<(String, u32)>,
+    /// `BB_REPRO_UNIT_LIMIT=<n>`: cancel the campaign after n finalized
+    /// experiments — a deterministic stand-in for SIGTERM.
+    unit_limit: Option<usize>,
+    /// `BB_REPRO_CRASH=<n>`: exit 101 right after the n-th experiment is
+    /// finalized and flushed — a deterministic worker crash.
+    crash: Option<usize>,
+    /// `BB_REPRO_STALL=<name>[:secs]`: sleep (default 30 s) before `name`,
+    /// first attempt only — a deterministic hang.
+    stall: Option<(String, f64)>,
+    /// `BB_AUDIT_VIOLATE=<rule>`: corrupt one input of that audit rule.
+    audit_violate: Option<String>,
+}
+
+/// `NAME[:N]` with a number after the colon, else the diagnostic `what`.
+fn name_count<T: std::str::FromStr>(
+    spec: &str,
+    default: T,
+    what: &str,
+) -> Result<(String, T), String> {
+    match spec.split_once(':') {
+        None => Ok((spec.to_string(), default)),
+        Some((name, n)) => match n.parse() {
+            Ok(n) => Ok((name.to_string(), n)),
+            Err(_) => Err(format!("bad {what} in {spec:?}")),
+        },
+    }
+}
+
+type HookParser = fn(&mut Hooks, &str) -> Result<(), String>;
+
+/// Every env hook with its parser. `BB_REPRO_ENOSPC=<n>` arms `bb-core`'s
+/// atomic-writer injection (the n-th write fails). `repro orchestrate`
+/// scrubs all of them from its children's environment.
+const HOOKS: [(&str, HookParser); 6] = [
+    ("BB_REPRO_ENOSPC", |_, v| {
+        num(v, |_| true, &format!("bad write count {v:?}")).map(export::inject_enospc_at)
+    }),
+    ("BB_REPRO_POISON", |h, v| {
+        put(
+            &mut h.poison,
+            name_count(v, u32::MAX, "attempt count").map(Some),
+        )
+    }),
+    ("BB_REPRO_UNIT_LIMIT", |h, v| {
+        put(
+            &mut h.unit_limit,
+            num(v, |_| true, &format!("bad unit count {v:?}")).map(Some),
+        )
+    }),
+    ("BB_REPRO_CRASH", |h, v| {
+        put(
+            &mut h.crash,
+            num(v, |_| true, &format!("bad unit count {v:?}")).map(Some),
+        )
+    }),
+    ("BB_REPRO_STALL", |h, v| {
+        put(&mut h.stall, name_count(v, 30.0, "seconds").map(Some))
+    }),
+    ("BB_AUDIT_VIOLATE", |h, v| {
+        let rules = beating_bgp::audit::RULE_NAMES;
+        if !rules.contains(&v) {
+            return Err(format!("unknown rule {v:?}; rules: {}", rules.join(" ")));
+        }
+        put(&mut h.audit_violate, Ok(Some(v.to_string())))
+    }),
+];
+
+/// Parse every hook set in the environment; a malformed one exits 2.
+fn read_hooks() -> Hooks {
+    let mut hooks = Hooks::default();
+    for (var, set) in HOOKS {
+        if let Ok(value) = std::env::var(var) {
+            if let Err(msg) = set(&mut hooks, &value) {
+                eprintln!("{var}: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+    hooks
+}
+
+/// Write the `--timing-json` perf report, if one was asked for. Phases,
+/// counters, the route cache, fault tallies and congestion races come from
+/// the process-wide registry; `section` adds the subcommand's own part
+/// (supervision, orchestration or serve).
+fn write_timing_json(
+    o: &Opts,
+    experiment: &str,
+    wall_s: f64,
+    section: impl FnOnce(&mut PerfReport),
+) {
+    use beating_bgp::bench::{CounterSample, FaultStats, PhaseTiming, RouteCacheStats};
+    let Some(path) = &o.timing_json else { return };
+    let counters = timing::counters();
+    let count = |label: &str| {
+        counters
+            .iter()
+            .find(|(l, _)| l == label)
+            .map_or(0, |&(_, c)| c)
+    };
+    let (hits, misses, resident) = beating_bgp::exec::cache_stats();
+    let mut report = PerfReport {
+        experiment: experiment.to_string(),
+        scale: o.scale.as_str().to_string(),
+        seed: o.seed,
+        jobs: beating_bgp::exec::jobs(),
+        wall_s,
+        phases: timing::snapshot()
+            .into_iter()
+            .map(|(label, total_s, calls)| PhaseTiming {
+                label,
+                total_s,
+                calls,
+            })
+            .collect(),
+        counters: counters
+            .iter()
+            .map(|(label, count)| CounterSample {
+                label: label.clone(),
+                count: *count,
+            })
+            .collect(),
+        total_samples: 0,
+        samples_per_sec: 0.0,
+        plan_compile_s: 0.0,
+        plan_query_s: 0.0,
+        route_cache: RouteCacheStats {
+            hits: hits as u64,
+            misses: misses as u64,
+            resident: resident as u64,
+        },
+        route_cache_by_experiment: Vec::new(),
+        faults: FaultStats {
+            samples_lost: count("faults:samples_lost"),
+            timeouts: count("faults:timeouts"),
+            retries: count("faults:retries"),
+            windows_dropped: count("faults:windows_dropped"),
+            panics_isolated: beating_bgp::exec::panics_isolated() as u64,
+        },
+        supervision: Default::default(),
+        orchestration: None,
+        serve: None,
+        rib: None,
+        congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
+    }
+    .finalize();
+    section(&mut report);
+    if let Err(e) = std::fs::write(path, report.to_json()) {
+        fail(
+            o.cmd,
+            &format!("--timing-json: cannot write {}: {e}", path.display()),
+        );
+    }
 }
 
 /// Set by the SIGINT/SIGTERM handlers; the supervisor's cancel hook reads
@@ -195,247 +752,6 @@ fn install_signal_drain() {
 #[cfg(not(unix))]
 fn install_signal_drain() {}
 
-fn parse_args() -> Args {
-    let mut experiment = "all".to_string();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut jobs = 0usize;
-    let mut timing = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let mut faults = FaultLevel::Off;
-    let mut keep_going = false;
-    let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut resume: Option<std::path::PathBuf> = None;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut snapshot: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => {
-                        eprintln!("unknown scale {other:?}; use test|full|large|planet");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--timing" => timing = true,
-            "--faults" => {
-                i += 1;
-                faults = match argv.get(i).map(String::as_str).unwrap_or("").parse() {
-                    Ok(level) => level,
-                    Err(e) => {
-                        eprintln!("--faults: {e}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--keep-going" => keep_going = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i).cloned().unwrap_or_else(|| {
-                        eprintln!("--timing-json needs a file path");
-                        std::process::exit(2);
-                    }),
-                ));
-            }
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                }));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
-            "--snapshot" => {
-                i += 1;
-                snapshot = Some(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--snapshot needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--checkpoint" => {
-                i += 1;
-                checkpoint = Some(std::path::PathBuf::from(
-                    argv.get(i).cloned().unwrap_or_else(|| {
-                        eprintln!("--checkpoint needs a directory");
-                        std::process::exit(2);
-                    }),
-                ));
-            }
-            "--resume" => {
-                i += 1;
-                resume = Some(std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(
-                    || {
-                        eprintln!("--resume needs a directory");
-                        std::process::exit(2);
-                    },
-                )));
-            }
-            "--shard" => {
-                i += 1;
-                let spec = argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--shard needs I/N (e.g. 0/3)");
-                    std::process::exit(2);
-                });
-                shard = match spec.split_once('/') {
-                    Some((a, b)) => match (a.parse::<usize>(), b.parse::<usize>()) {
-                        (Ok(idx), Ok(n)) if n >= 1 && idx < n => Some((idx, n)),
-                        _ => {
-                            eprintln!("--shard: bad spec {spec:?}; need I/N with 0 <= I < N");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("--shard: bad spec {spec:?}; need I/N with 0 <= I < N");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro [EXPERIMENT] [--scale test|full|large|planet] [--seed N] [--jobs N] \
-                     [--timing] [--timing-json PATH] [--csv DIR] \
-                     [--faults off|light|heavy] [--keep-going] [--snapshot PATH] \
-                     [--checkpoint DIR] [--resume DIR] [--shard I/N]\n\
-                     repro propagate [--scale S] [--seed N] [--jobs N] [--snapshot PATH] \
-                     [--origins K] [--prefixes K] [--csv DIR] [--timing] [--timing-json PATH]\n\
-                     repro merge SHARD_DIR... [--csv DIR] [--report]\n\
-                     repro orchestrate N [--dir DIR] [--chaos off|light|heavy] \
-                     [--hang-timeout SECS]\n\
-                     repro serve --dir DIR [--windows N] [--epoch K] [--epsilon E] \
-                     [--mem-limit BYTES]\n\
-                     experiments: all fig1 fig2 s311 fig3 fig4 fig5 calib goodput \
-                     xpeer xgroom xsites xonenet xsplit xablate xavail xhybrid xfabric xecs audit\n\
-                     audit      sweep the built worlds and studies through bb-audit's\n\
-                     {:11}invariant rules + metamorphic relations (exit 1 on violation)\n\
-                     --jobs N   worker threads (default: available cores); output is\n\
-                     {:11}byte-identical for every N\n\
-                     --timing   per-experiment wall-clock, sample counters, and cache\n\
-                     {:11}stats on stderr\n\
-                     --timing-json PATH  write the structured perf report (phases,\n\
-                     {:11}samples/sec, plan compile vs query time, cache rates) as JSON\n\
-                     --faults L  inject measurement faults (probe loss, timeouts, BGP\n\
-                     {:11}route churn) at level L; off (default) is byte-identical\n\
-                     {:11}to a build without the fault plane\n\
-                     --keep-going  on experiment failure or panic, print a diagnostic\n\
-                     {:11}and continue; survivors print normally, exit code 1\n\
-                     --snapshot PATH  build the worlds from a CAIDA-style AS-relationship\n\
-                     {:11}snapshot (a|b|-1 provider-customer, a|b|0 peer) instead of\n\
-                     {:11}the generated topology; bad snapshots are usage errors\n\
-                     --checkpoint DIR  flush a resumable checkpoint manifest after each\n\
-                     {:11}completed experiment; SIGINT/SIGTERM drain gracefully\n\
-                     --resume DIR  replay completed experiments from DIR's checkpoint\n\
-                     {:11}(stale checkpoints are rejected, exit 2), continue the rest\n\
-                     --shard I/N  run slice I of the selected experiments into the\n\
-                     {:11}checkpoint (no stdout); `repro merge` stitches the shards\n\
-                     {:11}byte-identically to the unsharded run\n\
-                     merge DIR...  validate + merge shard checkpoints, print the\n\
-                     {:11}campaign stdout; --csv re-emits the captured exports;\n\
-                     {:11}--report prints a per-shard diagnosis on failure\n\
-                     orchestrate N  spawn N supervised shard processes, restart\n\
-                     {:11}crashed/hung ones from their checkpoints, auto-merge\n\
-                     propagate  planet-tier propagation smoke: shard full route\n\
-                     {:11}propagation from --origins K eyeballs across --jobs workers,\n\
-                     {:11}check valley-freeness, report interned vs naive RIB bytes,\n\
-                     {:11}spray the first --prefixes K client prefixes\n\
-                     serve      streaming daemon: advance the spray campaign in\n\
-                     {:11}epochs, snapshot state atomically every epoch, resume\n\
-                     {:11}after SIGKILL byte-identically; --epsilon E > 0 uses\n\
-                     {:11}bounded-memory sketches, --mem-limit arms the governor\n\
-                     exit codes: 0 ok, 1 runtime failure, 2 usage error, \
-                     130 interrupted (resumable)",
-                    "", "", "", "", "", "", "", "", "", "", "", "", "", "", "", "", "",
-                    "", "", "", "", ""
-                );
-                std::process::exit(0);
-            }
-            e => experiment = e.to_string(),
-        }
-        i += 1;
-    }
-    // Flag-combination conflicts are usage errors (exit 2), never silent
-    // precedence: `--resume DIR` already implies checkpointing back into
-    // DIR, so a *different* `--checkpoint` directory contradicts it.
-    if let (Some(c), Some(r)) = (&checkpoint, &resume) {
-        if c != r {
-            eprintln!(
-                "--checkpoint {} conflicts with --resume {}; --resume already checkpoints back into the same directory",
-                c.display(),
-                r.display()
-            );
-            std::process::exit(2);
-        }
-    }
-    if experiment == "audit" && (checkpoint.is_some() || resume.is_some()) {
-        eprintln!("audit runs standalone and does not support --checkpoint/--resume");
-        std::process::exit(2);
-    }
-    if shard.is_some() && checkpoint.is_none() && resume.is_none() {
-        eprintln!(
-            "--shard requires --checkpoint DIR: a shard's only output is its \
-             checkpoint manifest (stitch the shards with `repro merge`)"
-        );
-        std::process::exit(2);
-    }
-    Args {
-        experiment,
-        scale,
-        seed,
-        csv_dir,
-        jobs,
-        timing,
-        timing_json,
-        faults,
-        keep_going,
-        checkpoint,
-        resume,
-        shard,
-        snapshot,
-    }
-}
-
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Full => "full",
-        Scale::Large => "large",
-        Scale::Planet => "planet",
-    }
-}
-
 /// Build a scenario, mapping usage-class failures (an unreadable or
 /// malformed `--snapshot` file) to exit 2 per the CLI contract and any
 /// other build failure to exit 1.
@@ -453,76 +769,10 @@ fn build_world_or_exit(cfg: ScenarioConfig) -> Scenario {
     }
 }
 
-/// Assemble the structured perf report from the timing registry, the
-/// sample counters, the subsystem caches, and the supervision report.
-fn perf_report(
-    args: &Args,
-    wall_s: f64,
-    supervision: &SupervisionReport,
-    route_cache_by_experiment: Vec<beating_bgp::bench::ExperimentCacheStats>,
-) -> beating_bgp::bench::PerfReport {
-    use beating_bgp::bench::{CounterSample, PerfReport, PhaseTiming, RouteCacheStats};
-    let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-    PerfReport {
-        experiment: args.experiment.clone(),
-        scale: scale_label(args.scale).to_string(),
-        seed: args.seed,
-        jobs: beating_bgp::exec::jobs(),
-        wall_s,
-        phases: timing::snapshot()
-            .into_iter()
-            .map(|(label, total_s, calls)| PhaseTiming {
-                label,
-                total_s,
-                calls,
-            })
-            .collect(),
-        counters: timing::counters()
-            .into_iter()
-            .map(|(label, count)| CounterSample { label, count })
-            .collect(),
-        total_samples: 0,
-        samples_per_sec: 0.0,
-        plan_compile_s: 0.0,
-        plan_query_s: 0.0,
-        route_cache: RouteCacheStats {
-            hits: hits as u64,
-            misses: misses as u64,
-            resident: resident as u64,
-        },
-        route_cache_by_experiment,
-        faults: {
-            let counters = timing::counters();
-            let get = |label: &str| {
-                counters
-                    .iter()
-                    .find(|(l, _)| l == label)
-                    .map(|&(_, c)| c)
-                    .unwrap_or(0)
-            };
-            beating_bgp::bench::FaultStats {
-                samples_lost: get("faults:samples_lost"),
-                timeouts: get("faults:timeouts"),
-                retries: get("faults:retries"),
-                windows_dropped: get("faults:windows_dropped"),
-                panics_isolated: beating_bgp::exec::panics_isolated() as u64,
-            }
-        },
-        supervision: beating_bgp::bench::SupervisionStats {
-            attempts: supervision.attempts,
-            retries: supervision.retries,
-            panics_absorbed: supervision.panics_absorbed,
-            recovered: supervision.count("recovered") as u64,
-            failed: supervision.count("failed") as u64,
-            skipped: supervision.count("skipped") as u64,
-            budget_exhausted: supervision.budget_exhausted,
-        },
-        orchestration: None,
-        serve: None,
-        rib: None,
-        congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-    }
-    .finalize()
+/// A study shared by several experiments, computed on first use. Every
+/// caller sees the same value — or the same error.
+fn shared<T>(cell: &OnceLock<BbResult<T>>, init: impl FnOnce() -> BbResult<T>) -> BbResult<&T> {
+    cell.get_or_init(init).as_ref().map_err(Clone::clone)
 }
 
 fn spray_cfg(scale: Scale) -> SprayConfig {
@@ -559,65 +809,25 @@ fn spray_cfg(scale: Scale) -> SprayConfig {
 /// With `--report`, a per-shard diagnosis (salvaged/unreadable manifests,
 /// key mismatches, which experiments are missing) is printed to stderr
 /// before any exit-2, instead of only the first error encountered.
-fn run_merge() -> ! {
-    use beating_bgp::core::checkpoint;
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut dirs: Vec<std::path::PathBuf> = Vec::new();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut report = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                }));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
-            "--report" => report = true,
-            "--help" | "-h" => {
-                println!(
-                    "repro merge SHARD_DIR... [--csv DIR] [--report]\n\
-                     stitch shard checkpoints (written by `repro --shard I/N --checkpoint`)\n\
-                     into the campaign's stdout, byte-identical to the unsharded run;\n\
-                     --csv re-emits the CSV exports captured in the shard manifests\n\
-                     --report prints a per-shard diagnosis (salvaged/corrupt manifests,\n\
-                     missing experiments, key mismatches) before any failure exit\n\
-                     exit codes: 0 ok, 2 shards invalid/incomplete/mismatched"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("repro merge: unknown flag {flag}");
-                std::process::exit(2);
-            }
-            dir => dirs.push(std::path::PathBuf::from(dir)),
-        }
-        i += 1;
-    }
+fn run_merge(o: &Opts) -> ! {
+    let dirs: Vec<PathBuf> = o.positional.iter().map(PathBuf::from).collect();
     if dirs.is_empty() {
-        eprintln!("repro merge: no shard directories given");
-        std::process::exit(2);
+        usage(Cmd::Merge, "no shard directories given");
     }
-    let shards: Vec<checkpoint::Checkpoint> = if report {
+    let shards = if o.report {
         merge_report(&dirs)
     } else {
-        dirs.iter()
-            .map(|d| {
-                checkpoint::Checkpoint::load(d).unwrap_or_else(|e| {
-                    eprintln!("repro merge: {}: {e}", d.display());
-                    std::process::exit(2);
-                })
-            })
-            .collect()
+        load_shards(Cmd::Merge, &dirs)
     };
-    finish_merge("repro merge", &dirs, shards, csv_dir.as_deref())
+    finish_merge(Cmd::Merge, &dirs, shards, o.csv_dir.as_deref())
+}
+
+/// Strict-load every shard manifest; any unreadable one is a usage error.
+fn load_shards(cmd: Cmd, dirs: &[PathBuf]) -> Vec<Checkpoint> {
+    let load = |d: &PathBuf| {
+        Checkpoint::load(d).unwrap_or_else(|e| usage(cmd, &format!("{}: {e}", d.display())))
+    };
+    dirs.iter().map(load).collect()
 }
 
 /// The `--report` loading path: examine every shard directory with the
@@ -626,7 +836,7 @@ fn run_merge() -> ! {
 /// either return the usable manifests or exit 2 if any was unreadable.
 /// Salvaged manifests proceed with their valid prefix — when the other
 /// shards overlap the dropped units, the merge still completes.
-fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
+fn merge_report(dirs: &[PathBuf]) -> Vec<Checkpoint> {
     use beating_bgp::core::checkpoint::Salvage;
     let loads: Vec<Result<(Checkpoint, Option<Salvage>), String>> = dirs
         .iter()
@@ -684,8 +894,10 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
     }
     let unreadable = loads.iter().filter(|l| l.is_err()).count();
     if unreadable > 0 {
-        eprintln!("repro merge: {unreadable} shard manifest(s) unreadable");
-        std::process::exit(2);
+        usage(
+            Cmd::Merge,
+            &format!("{unreadable} shard manifest(s) unreadable"),
+        );
     }
     loads.into_iter().map(|l| l.unwrap().0).collect()
 }
@@ -694,8 +906,8 @@ fn merge_report(dirs: &[std::path::PathBuf]) -> Vec<Checkpoint> {
 /// (and captured CSVs), and exit. Shared by `repro merge` and the
 /// auto-merge at the end of `repro orchestrate`. Merge failures exit 2.
 fn finish_merge(
-    who: &str,
-    dirs: &[std::path::PathBuf],
+    cmd: Cmd,
+    dirs: &[PathBuf],
     shards: Vec<Checkpoint>,
     csv_dir: Option<&std::path::Path>,
 ) -> ! {
@@ -703,18 +915,15 @@ fn finish_merge(
     // `merge_shards` checks the shards against *each other*; the binary's
     // own schema must match too, or the stitched bytes would claim to be
     // this build's output.
-    if shards[0].key.code_schema != checkpoint::CODE_SCHEMA {
-        eprintln!(
-            "{who}: manifest code_schema {} does not match this binary ({})",
-            shards[0].key.code_schema,
-            checkpoint::CODE_SCHEMA
+    let schema = shards[0].key.code_schema;
+    if schema != checkpoint::CODE_SCHEMA {
+        let ours = checkpoint::CODE_SCHEMA;
+        usage(
+            cmd,
+            &format!("manifest code_schema {schema} does not match this binary ({ours})"),
         );
-        std::process::exit(2);
     }
-    let merged = checkpoint::merge_shards(&shards).unwrap_or_else(|e| {
-        eprintln!("{who}: {e}");
-        std::process::exit(2);
-    });
+    let merged = checkpoint::merge_shards(&shards).unwrap_or_else(|e| usage(cmd, &e.to_string()));
     // Coverage is guaranteed by merge_shards, so assembling in the key's
     // experiment order reproduces the unsharded stdout exactly.
     let mut stdout = String::new();
@@ -726,11 +935,8 @@ fn finish_merge(
         stdout.push_str(&unit.stdout);
         if let Some(dir) = &csv_dir {
             for (fname, bytes) in &unit.files {
-                if let Err(e) =
-                    beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), bytes)
-                {
-                    eprintln!("{who}: writing {fname}: {e}");
-                    std::process::exit(1);
+                if let Err(e) = export::write_atomic_bytes(&dir.join(fname), bytes) {
+                    fail(cmd, &format!("writing {fname}: {e}"));
                 }
             }
         }
@@ -766,18 +972,12 @@ fn finish_merge(
 /// child env hooks `BB_REPRO_CRASH` / `BB_REPRO_STALL`), and a crash can
 /// only fire after a finalized unit was flushed — so every chaos plan
 /// terminates, and recovery always has progress to resume from.
-fn run_orchestrate() -> ! {
+fn run_orchestrate(o: &Opts) -> ! {
     use beating_bgp::core::checkpoint::{HEARTBEAT_NAME, MANIFEST_NAME};
     use beating_bgp::exec::derive_seed;
     use beating_bgp::exec::orchestrator::{orchestrate, OrchestratorPolicy, ShardSpec};
     use std::process::{Command, Stdio};
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum Chaos {
-        Off,
-        Light,
-        Heavy,
-    }
     /// Fault injected into one shard's first launch.
     #[derive(Clone, Copy, PartialEq)]
     enum Fault {
@@ -788,133 +988,40 @@ fn run_orchestrate() -> ! {
         Stall { exp: &'static str },
     }
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut n: Option<usize> = None;
-    let mut base: Option<std::path::PathBuf> = None;
-    let mut scale = "full".to_string();
-    let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut faults = "off".to_string();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut chaos = Chaos::Off;
-    let mut hang_timeout = 30.0f64;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let need = |i: &mut usize, what: &str| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("{what} needs a value");
-            std::process::exit(2);
+    let counts: Vec<usize> = o
+        .positional
+        .iter()
+        .map(|c| {
+            c.parse()
+                .unwrap_or_else(|_| usage(Cmd::Orchestrate, &format!("bad shard count {c:?}")))
         })
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--dir" => base = Some(std::path::PathBuf::from(need(&mut i, "--dir"))),
-            "--scale" => {
-                scale = need(&mut i, "--scale");
-                if !matches!(scale.as_str(), "test" | "full" | "large" | "planet") {
-                    eprintln!("unknown scale {scale:?}; use test|full|large|planet");
-                    std::process::exit(2);
-                }
-            }
-            "--seed" => {
-                seed = need(&mut i, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--jobs" => {
-                jobs = Some(need(&mut i, "--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a number");
-                    std::process::exit(2);
-                }));
-            }
-            "--faults" => {
-                faults = need(&mut i, "--faults");
-                if faults.parse::<FaultLevel>().is_err() {
-                    eprintln!("--faults: unknown level {faults:?}; use off|light|heavy");
-                    std::process::exit(2);
-                }
-            }
-            "--csv" => {
-                let dir = std::path::PathBuf::from(need(&mut i, "--csv"));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("--csv: cannot create {}: {e}", dir.display());
-                    std::process::exit(2);
-                }
-                csv_dir = Some(dir);
-            }
-            "--chaos" => {
-                chaos = match need(&mut i, "--chaos").as_str() {
-                    "off" => Chaos::Off,
-                    "light" => Chaos::Light,
-                    "heavy" => Chaos::Heavy,
-                    other => {
-                        eprintln!("--chaos: unknown level {other:?}; use off|light|heavy");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hang-timeout" => {
-                hang_timeout = need(&mut i, "--hang-timeout").parse().unwrap_or_else(|_| {
-                    eprintln!("--hang-timeout needs seconds");
-                    std::process::exit(2);
-                });
-            }
-            "--timing-json" => {
-                timing_json = Some(std::path::PathBuf::from(need(&mut i, "--timing-json")));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro orchestrate N [--dir DIR] [--scale test|full|large] [--seed N]\n\
-                     \u{20}                   [--jobs N] [--faults off|light|heavy] [--csv DIR]\n\
-                     \u{20}                   [--chaos off|light|heavy] [--hang-timeout SECS]\n\
-                     \u{20}                   [--timing-json PATH]\n\
-                     spawn N shard processes (repro all --shard I/N), monitor heartbeats,\n\
-                     restart crashed/hung shards from their checkpoints (torn manifests\n\
-                     are salvaged), then merge — stdout is byte-identical to `repro all`.\n\
-                     --dir DIR    shard checkpoints live here (default: a seed/scale-keyed\n\
-                     \u{20}            temp directory; reruns resume from it)\n\
-                     --chaos L    deterministic fault plan: light = one shard crashes;\n\
-                     \u{20}            heavy = one stalls, the rest crash, one manifest torn\n\
-                     exit codes: 0 ok, 1 shard failed permanently (partial checkpoints\n\
-                     kept), 2 usage error, 130 interrupted (children killed, resumable)"
-                );
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("repro orchestrate: unknown flag {flag}");
-                std::process::exit(2);
-            }
-            count => {
-                n = Some(count.parse().unwrap_or_else(|_| {
-                    eprintln!("repro orchestrate: bad shard count {count:?}");
-                    std::process::exit(2);
-                }));
-            }
-        }
-        i += 1;
-    }
-    let n = n.unwrap_or_else(|| {
-        eprintln!("repro orchestrate: shard count required (e.g. `repro orchestrate 3`)");
-        std::process::exit(2);
-    });
-    if n == 0 || n > EXPERIMENT_NAMES.len() {
-        eprintln!(
-            "repro orchestrate: shard count must be 1..={} (one experiment per shard at most)",
-            EXPERIMENT_NAMES.len()
+        .collect();
+    let Some(&n) = counts.last() else {
+        usage(
+            Cmd::Orchestrate,
+            "shard count required (e.g. `repro orchestrate 3`)",
         );
-        std::process::exit(2);
+    };
+    if n == 0 || n > EXPERIMENT_NAMES.len() {
+        usage(
+            Cmd::Orchestrate,
+            &format!(
+                "shard count must be 1..={} (one experiment per shard at most)",
+                EXPERIMENT_NAMES.len()
+            ),
+        );
     }
-    let base = base.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{scale}"))
-    });
+    let (seed, scale, faults) = (o.seed, o.scale.as_str(), o.faults.as_str());
+    let base = o
+        .dir
+        .clone()
+        .unwrap_or_else(|| std::env::temp_dir().join(format!("bb_orchestrate_{seed}_{scale}")));
 
     // --- Chaos plan: which shard gets which first-launch fault. ---
     // Victims and crash points are derived from the campaign seed alone, so
     // one seed replays one fault schedule. Slice bounds mirror the --shard
-    // arithmetic over EXPERIMENT_NAMES (debug-asserted in `main` to match
-    // the real experiment list).
+    // arithmetic over EXPERIMENT_NAMES (debug-asserted in `run_campaign` to
+    // match the real experiment list).
     let slice = |i: usize| -> &'static [&'static str] {
         let total = EXPERIMENT_NAMES.len();
         &EXPERIMENT_NAMES[i * total / n..(i + 1) * total / n]
@@ -924,40 +1031,29 @@ fn run_orchestrate() -> ! {
     // after all of it (restart finds the shard complete — also legal).
     let crash_point =
         |i: usize| 1 + (derive_seed(seed, 0xC4A6 ^ i as u64) as usize) % slice(i).len().max(1);
-    let plan: Vec<Fault> = match chaos {
-        Chaos::Off => vec![Fault::None; n],
-        Chaos::Light => {
-            let victim = (derive_seed(seed, 0xC4A5) % n as u64) as usize;
-            (0..n)
-                .map(|i| {
-                    if i == victim {
-                        Fault::Crash { after_units: crash_point(i) }
-                    } else {
-                        Fault::None
-                    }
-                })
-                .collect()
-        }
-        Chaos::Heavy => {
-            let stalled = (derive_seed(seed, 0x57A11) % n as u64) as usize;
-            (0..n)
-                .map(|i| {
-                    if i == stalled {
-                        // Sleep far longer than any sane hang timeout right
-                        // before the slice's last experiment: the watcher
-                        // must kill it, nothing else will.
-                        Fault::Stall { exp: slice(i).last().unwrap_or(&"calib") }
-                    } else {
-                        Fault::Crash { after_units: crash_point(i) }
-                    }
-                })
-                .collect()
-        }
-    };
+    let victim = (derive_seed(seed, 0xC4A5) % n as u64) as usize;
+    let stalled = (derive_seed(seed, 0x57A11) % n as u64) as usize;
+    let plan: Vec<Fault> = (0..n)
+        .map(|i| match o.chaos {
+            FaultLevel::Light if i == victim => Fault::Crash {
+                after_units: crash_point(i),
+            },
+            FaultLevel::Off | FaultLevel::Light => Fault::None,
+            // Sleep far longer than any sane hang timeout right before the
+            // slice's last experiment: the watcher must kill it, nothing
+            // else will.
+            FaultLevel::Heavy if i == stalled => Fault::Stall {
+                exp: slice(i).last().unwrap_or(&"calib"),
+            },
+            FaultLevel::Heavy => Fault::Crash {
+                after_units: crash_point(i),
+            },
+        })
+        .collect();
     // Heavy chaos also tears the first crashing shard's manifest before its
     // restart, forcing the salvage path end to end.
-    let tear_victim: Option<usize> = match chaos {
-        Chaos::Heavy => plan.iter().position(|f| matches!(f, Fault::Crash { .. })),
+    let tear_victim: Option<usize> = match o.chaos {
+        FaultLevel::Heavy => plan.iter().position(|f| matches!(f, Fault::Crash { .. })),
         _ => None,
     };
 
@@ -968,19 +1064,13 @@ fn run_orchestrate() -> ! {
             heartbeat: shard_dir(i).join(HEARTBEAT_NAME),
         })
         .collect();
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("repro orchestrate: cannot resolve own binary: {e}");
-        std::process::exit(1);
-    });
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| fail(Cmd::Orchestrate, &format!("cannot resolve own binary: {e}")));
 
     eprintln!(
         "[repro] orchestrate: {n} shard(s), scale {scale}, seed {seed}, faults {faults}, \
          chaos {}, dir {}",
-        match chaos {
-            Chaos::Off => "off",
-            Chaos::Light => "light",
-            Chaos::Heavy => "heavy",
-        },
+        o.chaos.as_str(),
         base.display()
     );
 
@@ -1016,11 +1106,11 @@ fn run_orchestrate() -> ! {
         let mut cmd = Command::new(&exe);
         cmd.arg("all")
             .arg("--scale")
-            .arg(&scale)
+            .arg(scale)
             .arg("--seed")
             .arg(seed.to_string())
             .arg("--faults")
-            .arg(&faults)
+            .arg(faults)
             .arg("--shard")
             .arg(format!("{i}/{n}"));
         // Resume whenever a manifest exists (even a torn one — the child
@@ -1030,26 +1120,19 @@ fn run_orchestrate() -> ! {
         } else {
             cmd.arg("--checkpoint").arg(&dir);
         }
-        if let Some(j) = jobs {
-            cmd.arg("--jobs").arg(j.to_string());
+        if o.jobs != 0 {
+            cmd.arg("--jobs").arg(o.jobs.to_string());
         }
         // Shards must capture CSV exports in their manifests (the campaign
         // key records whether CSV was on) so the merge can re-emit them.
-        if csv_dir.is_some() {
+        if o.csv_dir.is_some() {
             let shard_csv = dir.join("csv");
             std::fs::create_dir_all(&shard_csv)?;
             cmd.arg("--csv").arg(&shard_csv);
         }
         // Never let the orchestrator's own env hooks leak into children;
         // chaos faults apply to each shard's first launch only.
-        for var in [
-            "BB_REPRO_POISON",
-            "BB_REPRO_UNIT_LIMIT",
-            "BB_REPRO_CRASH",
-            "BB_REPRO_STALL",
-            "BB_REPRO_ENOSPC",
-            "BB_AUDIT_VIOLATE",
-        ] {
+        for (var, _) in HOOKS {
             cmd.env_remove(var);
         }
         if attempt == 0 {
@@ -1076,7 +1159,7 @@ fn run_orchestrate() -> ! {
         restart_budget: (2 * n as u32).max(4),
         backoff_base: std::time::Duration::from_millis(25),
         jitter_seed: seed,
-        hang_timeout: std::time::Duration::from_secs_f64(hang_timeout),
+        hang_timeout: std::time::Duration::from_secs_f64(o.hang_timeout),
         poll_interval: std::time::Duration::from_millis(25),
     };
     install_signal_drain();
@@ -1092,68 +1175,27 @@ fn run_orchestrate() -> ! {
     // The structured report is written even for failed or interrupted
     // campaigns — partial results are exactly when the restart/salvage
     // tallies matter most.
-    let stats = beating_bgp::bench::OrchestrationStats {
-        shards: report.shards.len() as u64,
-        attempts: report.attempts,
-        restarts: report.restarts,
-        crashes_detected: report.crashes_detected,
-        hangs_detected: report.hangs_detected,
-        salvages,
-        budget_exhausted: report.budget_exhausted,
-        per_shard: report
-            .shards
-            .iter()
-            .map(|s| beating_bgp::bench::ShardWall {
-                label: s.label.clone(),
-                attempts: s.attempts as u64,
-                wall_s: s.elapsed_s,
-                outcome: s.outcome.label().to_string(),
-            })
-            .collect(),
-    };
-    if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
-            experiment: "orchestrate".to_string(),
-            scale: scale.clone(),
-            seed,
-            jobs: jobs.unwrap_or(0),
-            wall_s,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: bench::RouteCacheStats { hits: 0, misses: 0, resident: 0 },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
-            orchestration: Some(stats),
-            serve: None,
-            rib: None,
-            congestion_races_closed: 0,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_timing_json(o, "orchestrate", wall_s, |r| {
+        r.orchestration = Some(beating_bgp::bench::OrchestrationStats {
+            shards: report.shards.len() as u64,
+            attempts: report.attempts,
+            restarts: report.restarts,
+            crashes_detected: report.crashes_detected,
+            hangs_detected: report.hangs_detected,
+            salvages,
+            budget_exhausted: report.budget_exhausted,
+            per_shard: report
+                .shards
+                .iter()
+                .map(|s| beating_bgp::bench::ShardWall {
+                    label: s.label.clone(),
+                    attempts: s.attempts as u64,
+                    wall_s: s.elapsed_s,
+                    outcome: s.outcome.label().to_string(),
+                })
+                .collect(),
+        })
+    });
     eprintln!(
         "[repro] orchestrate: {} launch(es), {} restart(s), {} crash(es), {} hang(s), \
          {} salvage(s){}",
@@ -1166,14 +1208,11 @@ fn run_orchestrate() -> ! {
     );
 
     if report.cancelled {
-        eprintln!("=== INTERRUPTED (resumable) ===");
-        eprintln!(
-            "  children killed; shard checkpoints kept in {} — rerun the same \
-             command to resume",
-            base.display()
+        let dir = base.display();
+        interrupted(
+            "INTERRUPTED (resumable)",
+            &[format!("children killed; shard checkpoints kept in {dir} — rerun the same command to resume")],
         );
-        eprintln!("=== END INTERRUPTED ===");
-        std::process::exit(130);
     }
     if !report.all_completed() {
         for s in &report.shards {
@@ -1201,17 +1240,9 @@ fn run_orchestrate() -> ! {
     // Every shard completed: strict-load the manifests (salvage was a
     // restart-time concern; a completed shard's manifest must be whole)
     // and emit the campaign output.
-    let dirs: Vec<std::path::PathBuf> = (0..n).map(shard_dir).collect();
-    let shards: Vec<Checkpoint> = dirs
-        .iter()
-        .map(|d| {
-            Checkpoint::load(d).unwrap_or_else(|e| {
-                eprintln!("repro orchestrate: {}: {e}", d.display());
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    finish_merge("repro orchestrate", &dirs, shards, csv_dir.as_deref())
+    let dirs: Vec<PathBuf> = (0..n).map(shard_dir).collect();
+    let shards = load_shards(Cmd::Orchestrate, &dirs);
+    finish_merge(Cmd::Orchestrate, &dirs, shards, o.csv_dir.as_deref())
 }
 
 /// `repro serve`: the streaming (daemon) shape of the §3.1 spray campaign.
@@ -1234,150 +1265,26 @@ fn run_orchestrate() -> ! {
 /// land only at epoch boundaries, which the snapshot key pins, so
 /// degraded-mode output is as deterministic and resumable as everything
 /// else.
-fn run_serve() -> ! {
+fn run_serve(o: &Opts) -> ! {
     use beating_bgp::core::serve::{Governor, ServeMode, ServeState};
     use beating_bgp::core::snapshot::{ServeKey, Snapshot, SNAPSHOT_NAME};
     use beating_bgp::measure::SprayEngine;
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut jobs = 0usize;
-    let mut faults = FaultLevel::Off;
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut windows: Option<u64> = None;
-    let mut epoch = 32u64;
-    let mut epsilon = 0.0f64;
-    let mut mem_limit: Option<u64> = None;
-    let mut epoch_deadline = 60.0f64;
-    let mut chaos = false;
-    let mut timing = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let usage = |msg: &str| -> ! {
-        eprintln!("repro serve: {msg}");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => usage(&format!("unknown scale {other:?}; use test|full|large|planet")),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--jobs needs a number"));
-            }
-            "--faults" => {
-                i += 1;
-                faults = match argv.get(i).map(String::as_str).unwrap_or("").parse() {
-                    Ok(level) => level,
-                    Err(e) => usage(&format!("--faults: {e}")),
-                };
-            }
-            "--dir" => {
-                i += 1;
-                dir = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--dir needs a directory")),
-                ));
-            }
-            "--csv" => {
-                i += 1;
-                let d = std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--csv needs a directory")),
-                );
-                if let Err(e) = std::fs::create_dir_all(&d) {
-                    usage(&format!("--csv: cannot create {}: {e}", d.display()));
-                }
-                csv_dir = Some(d);
-            }
-            "--windows" => {
-                i += 1;
-                windows = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--windows needs a number")),
-                );
-            }
-            "--epoch" => {
-                i += 1;
-                epoch = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| usage("--epoch needs a window count >= 1"));
-            }
-            "--epsilon" => {
-                i += 1;
-                epsilon = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|e: &f64| (0.0..1.0).contains(e))
-                    .unwrap_or_else(|| usage("--epsilon needs a value in [0, 1)"));
-            }
-            "--mem-limit" => {
-                i += 1;
-                mem_limit = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&b| b > 0)
-                        .unwrap_or_else(|| usage("--mem-limit needs a byte count > 0")),
-                );
-            }
-            "--epoch-deadline" => {
-                i += 1;
-                epoch_deadline = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s: &f64| *s > 0.0)
-                    .unwrap_or_else(|| usage("--epoch-deadline needs seconds > 0"));
-            }
-            "--chaos" => chaos = true,
-            "--timing" => timing = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--timing-json needs a file path")),
-                ));
-            }
-            other => usage(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    let dir = dir.unwrap_or_else(|| {
-        usage("--dir DIR is required: the serve directory holds the snapshot the daemon resumes from")
-    });
-    if mem_limit.is_some() && epsilon == 0.0 {
+    let (seed, scale, epoch, epsilon) = (o.seed, o.scale, o.epoch, o.epsilon);
+    let Some(dir) = &o.dir else {
         usage(
+            Cmd::Serve,
+            "--dir DIR is required: the serve directory holds the snapshot the daemon resumes from",
+        );
+    };
+    if o.mem_limit.is_some() && epsilon == 0.0 {
+        usage(
+            Cmd::Serve,
             "--mem-limit needs --epsilon E > 0: exact mode retains every row by \
              contract and the governor refuses to discard data",
         );
     }
 
-    beating_bgp::exec::set_jobs(jobs);
     install_signal_drain();
     let t0 = std::time::Instant::now();
 
@@ -1386,7 +1293,7 @@ fn run_serve() -> ! {
     // like batch_windows), which is what makes exact mode byte-identical
     // to `repro fig1` over the same window count.
     let mut cfg = ScenarioConfig::facebook(seed, scale);
-    cfg.faults = faults.config();
+    cfg.faults = o.faults.config();
     eprintln!("[repro] building Facebook-like world…");
     let scenario = timing::time("world:facebook", || Scenario::build(cfg));
     let spray_config = SprayConfig {
@@ -1403,16 +1310,16 @@ fn run_serve() -> ! {
         )
     });
     let batch_horizon = engine.batch_windows().len() as u64;
-    let total_windows = windows.unwrap_or(batch_horizon);
+    let total_windows = o.windows.unwrap_or(batch_horizon);
     let route_counts: Vec<usize> = engine.targets().iter().map(|t| t.routes.len()).collect();
     let mode = ServeMode::from_eps(epsilon);
     let key = ServeKey::new(
         seed,
-        scale_label(scale),
-        faults.as_str(),
+        scale.as_str(),
+        o.faults.as_str(),
         epsilon,
         epoch,
-        csv_dir.is_some(),
+        o.csv_dir.is_some(),
     );
 
     // Fresh start or snapshot resume. A missing snapshot file is a fresh
@@ -1420,28 +1327,21 @@ fn run_serve() -> ! {
     // mismatch — is a hard reject (exit 2): resuming from state we cannot
     // trust would poison every epoch after it.
     let snapshot_path = dir.join(SNAPSHOT_NAME);
+    let reject = |e: &dyn std::fmt::Display| -> ! {
+        usage(Cmd::Serve, &format!("{}: {e}", snapshot_path.display()))
+    };
     let (mut state, mut epochs_flushed, mut coarsenings, resumed) = if snapshot_path.exists() {
-        let snap = Snapshot::load(&dir).unwrap_or_else(|e| {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
-        });
+        let snap = Snapshot::load(dir).unwrap_or_else(|e| reject(&e));
         if let Err(e) = snap.validate(&key) {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
+            reject(&e);
         }
-        let state = ServeState::decode(&snap.state).unwrap_or_else(|e| {
-            eprintln!("repro serve: {}: {e}", snapshot_path.display());
-            std::process::exit(2);
-        });
+        let state = ServeState::decode(&snap.state).unwrap_or_else(|e| reject(&e));
         if state.windows_done() != snap.windows_done {
-            eprintln!(
-                "repro serve: {}: snapshot header says {} windows but state blob \
-                 carries {} — refusing to resume",
-                snapshot_path.display(),
+            reject(&format!(
+                "snapshot header says {} windows but state blob carries {} — refusing to resume",
                 snap.windows_done,
                 state.windows_done()
-            );
-            std::process::exit(2);
+            ));
         }
         eprintln!(
             "[repro] serve: resuming at window {}/{total_windows} (epoch {}, {} governor \
@@ -1456,10 +1356,21 @@ fn run_serve() -> ! {
         (ServeState::new(mode, &route_counts), 0u64, 0u64, false)
     };
 
-    let governor = mem_limit.map(Governor::new);
+    let governor = o.mem_limit.map(Governor::new);
+    // `--csv`: sketch mode rewrites `fig1.csv` at every epoch boundary (a
+    // current figure is always cheap), exact mode writes it once at the end.
+    let write_fig1 = |fig: &beating_bgp::core::figures::Fig1| {
+        if let Some(csv) = &o.csv_dir {
+            if let Err(e) =
+                export::write_atomic_bytes(&csv.join("fig1.csv"), &export::fig1_csv_bytes(fig))
+            {
+                fail(Cmd::Serve, &format!("CSV export failed: {e}"));
+            }
+        }
+    };
     let watchdog = beating_bgp::exec::watchdog::Watchdog::new(
         "serve:epoch",
-        std::time::Duration::from_secs_f64(epoch_deadline),
+        std::time::Duration::from_secs_f64(o.epoch_deadline),
     );
     // `--chaos`: deterministic self-crash (exit 101, like an escaped
     // panic) right after a seed-keyed epoch's snapshot lands — fresh runs
@@ -1505,47 +1416,25 @@ fn run_serve() -> ! {
         // Snapshot and heartbeat writers fail closed (exit 1, named path):
         // the previous epoch's snapshot is still whole on disk, so a rerun
         // resumes from it and loses at most this epoch.
-        if let Err(e) = timing::time("serve:flush", || snap.save(&dir)) {
-            eprintln!("repro serve: snapshot flush failed: {e}");
-            eprintln!(
-                "repro serve: previous snapshot in {} is intact; rerun the same \
-                 command to resume after freeing space",
-                dir.display()
-            );
-            std::process::exit(1);
+        if let Err(e) = timing::time("serve:flush", || snap.save(dir)) {
+            fail_closed(Cmd::Serve, "snapshot flush", &e, dir);
         }
         let hb = Heartbeat::now(state.windows_done(), epochs_flushed);
-        if let Err(e) = hb.save(&dir) {
-            eprintln!("repro serve: heartbeat write failed: {e}");
-            eprintln!(
-                "repro serve: snapshot in {} is intact; rerun the same command to \
-                 resume after freeing space",
-                dir.display()
-            );
-            std::process::exit(1);
+        if let Err(e) = hb.save(dir) {
+            fail_closed(Cmd::Serve, "heartbeat write", &e, dir);
         }
-        // Live sketch-mode figure export at every epoch boundary: the
-        // whole point of the sketch is that a current figure is always
-        // cheap. (Exact mode defers to the batch analyzer at the end —
-        // recomputing bootstrap CIs per epoch would swamp sampling.)
-        if let (Some(csv), ServeMode::Sketch { .. }) = (&csv_dir, mode) {
+        // Live sketch-mode figure export. (Exact mode defers to the batch
+        // analyzer at the end — recomputing bootstrap CIs per epoch would
+        // swamp sampling.)
+        if matches!(mode, ServeMode::Sketch { .. }) {
             if let Ok(fig) = state.sketch_fig1(engine.targets()) {
-                let path = csv.join("fig1.csv");
-                if let Err(e) =
-                    beating_bgp::core::export::write_atomic_bytes(
-                        &path,
-                        &beating_bgp::core::export::fig1_csv_bytes(&fig),
-                    )
-                {
-                    eprintln!("repro serve: live CSV export failed: {e}");
-                    std::process::exit(1);
-                }
+                write_fig1(&fig);
             }
         }
         if watchdog.observe(started) {
             deadline_misses += 1;
         }
-        if chaos && !resumed && epochs_flushed == chaos_epoch {
+        if o.chaos != FaultLevel::Off && !resumed && epochs_flushed == chaos_epoch {
             eprintln!(
                 "[repro] serve: --chaos simulated crash after epoch {epochs_flushed} \
                  (snapshot flushed; rerun the same command to resume)"
@@ -1557,16 +1446,14 @@ fn run_serve() -> ! {
     if state.windows_done() < total_windows {
         // Signal drain: the last completed epoch is on disk; mid-epoch
         // windows are resampled deterministically on resume.
-        eprintln!("=== INTERRUPTED (resumable) ===");
-        eprintln!(
-            "  {}/{} windows ingested; snapshot flushed to {}",
-            state.windows_done(),
-            total_windows,
-            snapshot_path.display()
+        let (done, path) = (state.windows_done(), snapshot_path.display());
+        interrupted(
+            "INTERRUPTED (resumable)",
+            &[
+                format!("{done}/{total_windows} windows ingested; snapshot flushed to {path}"),
+                "rerun the same command to resume".to_string(),
+            ],
         );
-        eprintln!("  rerun the same command to resume");
-        eprintln!("=== END INTERRUPTED ===");
-        std::process::exit(130);
     }
 
     // Campaign horizon reached: emit the figure.
@@ -1579,10 +1466,9 @@ fn run_serve() -> ! {
     let windows_done = state.windows_done();
     let render = match mode {
         ServeMode::Exact => {
-            let rows = state.into_rows().unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
+            let rows = state
+                .into_rows()
+                .unwrap_or_else(|e| fail(Cmd::Serve, &e.to_string()));
             let dataset = beating_bgp::measure::SprayDataset {
                 targets: engine.into_targets(),
                 rows,
@@ -1590,35 +1476,15 @@ fn run_serve() -> ! {
             let study = timing::time("egress:analyze", || {
                 study_egress::analyze(&scenario, &spray_config, dataset)
             })
-            .unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
-            if let Some(csv) = &csv_dir {
-                if let Err(e) = beating_bgp::core::export::write_atomic_bytes(
-                    &csv.join("fig1.csv"),
-                    &beating_bgp::core::export::fig1_csv_bytes(&study.fig1),
-                ) {
-                    eprintln!("repro serve: CSV export failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+            .unwrap_or_else(|e| fail(Cmd::Serve, &e.to_string()));
+            write_fig1(&study.fig1);
             format!("{}\n", study.fig1.render())
         }
         ServeMode::Sketch { .. } => {
-            let fig = state.sketch_fig1(engine.targets()).unwrap_or_else(|e| {
-                eprintln!("repro serve: {e}");
-                std::process::exit(1);
-            });
-            if let Some(csv) = &csv_dir {
-                if let Err(e) = beating_bgp::core::export::write_atomic_bytes(
-                    &csv.join("fig1.csv"),
-                    &beating_bgp::core::export::fig1_csv_bytes(&fig),
-                ) {
-                    eprintln!("repro serve: CSV export failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let fig = state
+                .sketch_fig1(engine.targets())
+                .unwrap_or_else(|e| fail(Cmd::Serve, &e.to_string()));
+            write_fig1(&fig);
             let mut s = fig.render();
             if let Some(note) = state.sketch_disclosure() {
                 s.push_str(&note);
@@ -1630,84 +1496,27 @@ fn run_serve() -> ! {
     print!("{render}");
 
     let wall_s = t0.elapsed().as_secs_f64();
-    if timing {
+    if o.timing {
         eprint!("{}", timing::report());
         eprintln!(
             "serve: {windows_done} windows in {epochs_flushed} epochs, {coarsenings} \
              coarsening(s), resident {resident_bytes} bytes (peak {peak_resident})"
         );
     }
-    if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
-            experiment: "serve".to_string(),
-            scale: scale_label(scale).to_string(),
-            seed,
-            jobs: beating_bgp::exec::jobs(),
-            wall_s,
-            phases: timing::snapshot()
-                .into_iter()
-                .map(|(label, total_s, calls)| bench::PhaseTiming {
-                    label,
-                    total_s,
-                    calls,
-                })
-                .collect(),
-            counters: timing::counters()
-                .into_iter()
-                .map(|(label, count)| bench::CounterSample { label, count })
-                .collect(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: {
-                let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-                bench::RouteCacheStats {
-                    hits: hits as u64,
-                    misses: misses as u64,
-                    resident: resident as u64,
-                }
-            },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
-            orchestration: None,
-            serve: Some(bench::ServeStats {
-                mode: mode_label.to_string(),
-                epsilon,
-                epsilon_in_force: eps_in_force,
-                windows_done,
-                epochs_flushed,
-                resident_bytes,
-                peak_resident_bytes: peak_resident,
-                governor_coarsenings: coarsenings,
-                deadline_misses,
-                resumed,
-            }),
-            rib: None,
-            congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_timing_json(o, "serve", wall_s, |r| {
+        r.serve = Some(beating_bgp::bench::ServeStats {
+            mode: mode_label.to_string(),
+            epsilon,
+            epsilon_in_force: eps_in_force,
+            windows_done,
+            epochs_flushed,
+            resident_bytes,
+            peak_resident_bytes: peak_resident,
+            governor_coarsenings: coarsenings,
+            deadline_misses,
+            resumed,
+        })
+    });
     std::process::exit(0);
 }
 
@@ -1721,122 +1530,19 @@ fn run_serve() -> ! {
 /// so stdout and `--csv` exports are byte-identical for every `--jobs`
 /// value. Exit 0 = propagation complete and valley-free, 1 = a sampled
 /// path violated valley-freeness or an AS was unreachable, 2 = usage.
-fn run_propagate() -> ! {
+fn run_propagate(o: &Opts) -> ! {
     use beating_bgp::bgp::{valley_free, Announcement};
     use beating_bgp::topology::{AsClass, AsId};
 
-    let argv: Vec<String> = std::env::args().skip(2).collect();
-    let mut scale = Scale::Full;
-    let mut seed = 42u64;
-    let mut jobs = 0usize;
-    let mut snapshot: Option<String> = None;
-    let mut origins = 16usize;
-    let mut prefixes = 64usize;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut timing_flag = false;
-    let mut timing_json: Option<std::path::PathBuf> = None;
-    let usage = |msg: &str| -> ! {
-        eprintln!("repro propagate: {msg}");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    Some("large") => Scale::Large,
-                    Some("planet") => Scale::Planet,
-                    other => usage(&format!("unknown scale {other:?}; use test|full|large|planet")),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--jobs needs a number"));
-            }
-            "--snapshot" => {
-                i += 1;
-                snapshot = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--snapshot needs a file path")),
-                );
-            }
-            "--origins" => {
-                i += 1;
-                origins = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--origins needs a count >= 1"));
-            }
-            "--prefixes" => {
-                i += 1;
-                prefixes = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--prefixes needs a count >= 1"));
-            }
-            "--csv" => {
-                i += 1;
-                let dir = std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--csv needs a directory")),
-                );
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    usage(&format!("--csv: cannot create {}: {e}", dir.display()));
-                }
-                csv_dir = Some(dir);
-            }
-            "--timing" => timing_flag = true,
-            "--timing-json" => {
-                i += 1;
-                timing_json = Some(std::path::PathBuf::from(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--timing-json needs a file path")),
-                ));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro propagate [--scale test|full|large|planet] [--seed N] [--jobs N]\n\
-                     \u{20}               [--snapshot PATH] [--origins K] [--prefixes K]\n\
-                     \u{20}               [--csv DIR] [--timing] [--timing-json PATH]\n\
-                     propagate full routing tables from K eyeball origins, sharded\n\
-                     across --jobs workers; check sampled paths for valley-freeness;\n\
-                     report interned vs naive RIB bytes; spray the first K prefixes\n\
-                     exit codes: 0 ok, 1 propagation invariant violated, 2 usage error"
-                );
-                std::process::exit(0);
-            }
-            flag => usage(&format!("unknown argument {flag:?}")),
-        }
-        i += 1;
-    }
-
-    beating_bgp::exec::set_jobs(jobs);
+    let (seed, scale) = (o.seed, o.scale);
     let t0 = std::time::Instant::now();
     let mut cfg = ScenarioConfig::facebook(seed, scale);
-    cfg.snapshot = snapshot;
+    cfg.snapshot = o.snapshot.clone();
     eprintln!("[repro] building propagation world…");
     let scenario = timing::time("world:propagate", || build_world_or_exit(cfg));
     let topo = &scenario.topo;
 
-    println!("=== PROPAGATE (scale {}, seed {seed}) ===", scale_label(scale));
+    println!("=== PROPAGATE (scale {}, seed {seed}) ===", scale.as_str());
     println!(
         "world: {} ases, {} links, fingerprint {:016x}",
         topo.as_count(),
@@ -1847,10 +1553,12 @@ fn run_propagate() -> ! {
     // Deterministic origin choice: eyeballs in id order, spread evenly.
     let eyeballs: Vec<AsId> = topo.ases_of_class(AsClass::Eyeball).map(|n| n.id).collect();
     if eyeballs.is_empty() {
-        eprintln!("repro propagate: world has no eyeball ases to originate from");
-        std::process::exit(1);
+        fail(
+            Cmd::Propagate,
+            "world has no eyeball ases to originate from",
+        );
     }
-    let k = origins.min(eyeballs.len());
+    let k = o.origins.min(eyeballs.len());
     let picks: Vec<AsId> = (0..k).map(|i| eyeballs[i * eyeballs.len() / k]).collect();
     println!("origins: {k} of {} eyeball ases", eyeballs.len());
 
@@ -1914,7 +1622,7 @@ fn run_propagate() -> ! {
     // Bounded spray slice: truncating to the *first* K prefixes keeps
     // PrefixId indexing consistent (ids are dense positions in the list).
     let mut workload = scenario.workload.clone();
-    let p = prefixes.min(workload.prefixes.len());
+    let p = o.prefixes.min(workload.prefixes.len());
     workload.prefixes.truncate(p);
     workload.prefix_ldns.truncate(p);
     let dataset = timing::time("propagate:spray", || {
@@ -1943,108 +1651,77 @@ fn run_propagate() -> ! {
         if failed { "FAILED" } else { "OK" }
     );
 
-    if let Some(dir) = &csv_dir {
-        if let Err(e) =
-            beating_bgp::core::export::write_atomic_bytes(&dir.join("propagate.csv"), csv.as_bytes())
-        {
-            eprintln!("--csv: {e}");
-            std::process::exit(1);
+    if let Some(dir) = &o.csv_dir {
+        if let Err(e) = export::write_atomic_bytes(&dir.join("propagate.csv"), csv.as_bytes()) {
+            fail(Cmd::Propagate, &format!("--csv: {e}"));
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    if timing_flag {
+    if o.timing {
         eprint!("{}", timing::report());
     }
-    if let Some(path) = &timing_json {
-        use beating_bgp::bench as bench;
-        let perf = bench::PerfReport {
-            experiment: "propagate".to_string(),
-            scale: scale_label(scale).to_string(),
-            seed,
-            jobs: beating_bgp::exec::jobs(),
-            wall_s,
-            phases: timing::snapshot()
-                .into_iter()
-                .map(|(label, total_s, calls)| bench::PhaseTiming {
-                    label,
-                    total_s,
-                    calls,
-                })
-                .collect(),
-            counters: timing::counters()
-                .into_iter()
-                .map(|(label, count)| bench::CounterSample { label, count })
-                .collect(),
-            total_samples: 0,
-            samples_per_sec: 0.0,
-            plan_compile_s: 0.0,
-            plan_query_s: 0.0,
-            route_cache: {
-                let (hits, misses, resident) = beating_bgp::exec::cache_stats();
-                bench::RouteCacheStats {
-                    hits: hits as u64,
-                    misses: misses as u64,
-                    resident: resident as u64,
-                }
-            },
-            route_cache_by_experiment: Vec::new(),
-            faults: bench::FaultStats {
-                samples_lost: 0,
-                timeouts: 0,
-                retries: 0,
-                windows_dropped: 0,
-                panics_isolated: 0,
-            },
-            supervision: bench::SupervisionStats {
-                attempts: 0,
-                retries: 0,
-                panics_absorbed: 0,
-                recovered: 0,
-                failed: 0,
-                skipped: 0,
-                budget_exhausted: false,
-            },
-            orchestration: None,
-            serve: None,
-            rib: None,
-            congestion_races_closed: beating_bgp::netsim::materialize_races_closed() as u64,
-        }
-        .finalize();
-        if let Err(e) = std::fs::write(path, perf.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_timing_json(o, "propagate", wall_s, |_| {});
     std::process::exit(if failed { 1 } else { 0 });
 }
 
 fn main() {
-    // Fail fast on a malformed injection hook: a typo'd BB_REPRO_ENOSPC
-    // must be a usage error even when the chosen command never writes.
-    beating_bgp::core::export::validate_injection_env();
-    if std::env::args().nth(1).as_deref() == Some("merge") {
-        run_merge();
+    // Fail fast on a malformed hook: a typo'd BB_REPRO_* value is a usage
+    // error even when the chosen command would never read it.
+    let hooks = read_hooks();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let o = parse_args(&argv);
+    beating_bgp::exec::set_jobs(o.jobs);
+    match o.cmd {
+        Cmd::Run => run_campaign(&o, hooks),
+        Cmd::Merge => run_merge(&o),
+        Cmd::Orchestrate => run_orchestrate(&o),
+        Cmd::Serve => run_serve(&o),
+        Cmd::Propagate => run_propagate(&o),
     }
-    if std::env::args().nth(1).as_deref() == Some("propagate") {
-        run_propagate();
+}
+
+/// `repro [EXPERIMENT]`: run the selected experiments under supervision
+/// and print their output in campaign order.
+fn run_campaign(o: &Opts, hooks: Hooks) {
+    let experiment = o.positional.last().map_or("all", String::as_str);
+    // Flag-combination conflicts are usage errors (exit 2), never silent
+    // precedence: `--resume DIR` already implies checkpointing back into
+    // DIR, so a *different* `--checkpoint` directory contradicts it.
+    if let (Some(c), Some(r)) = (&o.checkpoint, &o.resume) {
+        if c != r {
+            usage(
+                Cmd::Run,
+                &format!(
+                    "--checkpoint {} conflicts with --resume {}; --resume already checkpoints \
+                     back into the same directory",
+                    c.display(),
+                    r.display()
+                ),
+            );
+        }
     }
-    if std::env::args().nth(1).as_deref() == Some("orchestrate") {
-        run_orchestrate();
+    if experiment == "audit" && (o.checkpoint.is_some() || o.resume.is_some()) {
+        usage(
+            Cmd::Run,
+            "audit runs standalone and does not support --checkpoint/--resume",
+        );
     }
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        run_serve();
+    if o.shard.is_some() && o.checkpoint.is_none() && o.resume.is_none() {
+        usage(
+            Cmd::Run,
+            "--shard requires --checkpoint DIR: a shard's only output is its checkpoint \
+             manifest (stitch the shards with `repro merge`)",
+        );
     }
-    let args = parse_args();
     let t0 = std::time::Instant::now();
-    beating_bgp::exec::set_jobs(args.jobs);
-    let want = |name: &str| args.experiment == "all" || args.experiment == name;
+    let want = |name: &str| experiment == "all" || experiment == name;
     // Injecting the fault level here (not inside ScenarioConfig's presets)
     // keeps library callers fault-free by default; every world the driver
     // builds — including the fresh ones in xpeer/xablate — goes through
     // `with_faults`.
     let with_faults = |mut cfg: ScenarioConfig| {
-        cfg.faults = args.faults.config();
-        cfg.snapshot = args.snapshot.clone();
+        cfg.faults = o.faults.config();
+        cfg.snapshot = o.snapshot.clone();
         cfg
     };
 
@@ -2052,95 +1729,56 @@ fn main() {
     // OnceLock::get_or_init blocks concurrent initializers, so when several
     // experiments race for the same world the build still happens exactly
     // once and everyone reads the same object.
-    let fb_cell: OnceLock<Scenario> = OnceLock::new();
-    let facebook = || {
-        fb_cell.get_or_init(|| {
-            eprintln!("[repro] building Facebook-like world…");
-            timing::time("world:facebook", || {
-                build_world_or_exit(with_faults(ScenarioConfig::facebook(args.seed, args.scale)))
-            })
+    let (fb_cell, ms_cell, gg_cell) = (OnceLock::new(), OnceLock::new(), OnceLock::new());
+    let build = |name: &str, preset: fn(u64, Scale) -> ScenarioConfig| {
+        eprintln!("[repro] building {name}-like world…");
+        let label = format!("world:{}", name.to_lowercase());
+        timing::time(&label, || {
+            build_world_or_exit(with_faults(preset(o.seed, o.scale)))
         })
     };
-    let ms_cell: OnceLock<Scenario> = OnceLock::new();
-    let microsoft = || {
-        ms_cell.get_or_init(|| {
-            eprintln!("[repro] building Microsoft-like world…");
-            timing::time("world:microsoft", || {
-                build_world_or_exit(with_faults(ScenarioConfig::microsoft(args.seed, args.scale)))
-            })
-        })
-    };
-    let gg_cell: OnceLock<Scenario> = OnceLock::new();
-    let google = || {
-        gg_cell.get_or_init(|| {
-            eprintln!("[repro] building Google-like world…");
-            timing::time("world:google", || {
-                build_world_or_exit(with_faults(ScenarioConfig::google(args.seed, args.scale)))
-            })
-        })
-    };
+    let facebook = || fb_cell.get_or_init(|| build("Facebook", ScenarioConfig::facebook));
+    let microsoft = || ms_cell.get_or_init(|| build("Microsoft", ScenarioConfig::microsoft));
+    let google = || gg_cell.get_or_init(|| build("Google", ScenarioConfig::google));
 
     // Study cells hold `BbResult`: under heavy faults a shared study can
     // legitimately fail (e.g. every window of a figure degraded away), and
     // every experiment that shares it must see the same error.
-    let egress_cell: OnceLock<BbResult<study_egress::EgressStudy>> = OnceLock::new();
-    let egress_study = || -> BbResult<&study_egress::EgressStudy> {
-        egress_cell
-            .get_or_init(|| {
-                let scenario = facebook();
-                eprintln!("[repro] spraying sessions across egress routes…");
-                timing::time("study:egress", || {
-                    study_egress::run(scenario, &spray_cfg(args.scale))
-                })
+    let (egress_cell, anycast_cell, tiers_cell) =
+        (OnceLock::new(), OnceLock::new(), OnceLock::new());
+    let egress_study = || {
+        shared(&egress_cell, || {
+            let scenario = facebook();
+            eprintln!("[repro] spraying sessions across egress routes…");
+            timing::time("study:egress", || {
+                study_egress::run(scenario, &spray_cfg(o.scale))
             })
-            .as_ref()
-            .map_err(Clone::clone)
+        })
     };
-    let anycast_cell: OnceLock<BbResult<study_anycast::AnycastStudy>> = OnceLock::new();
-    let anycast_study = || -> BbResult<&study_anycast::AnycastStudy> {
-        anycast_cell
-            .get_or_init(|| {
-                let scenario = microsoft();
-                eprintln!("[repro] running beacon campaign…");
-                timing::time("study:anycast", || {
-                    study_anycast::run(scenario, &BeaconConfig::default())
-                })
+    let anycast_study = || {
+        shared(&anycast_cell, || {
+            let scenario = microsoft();
+            eprintln!("[repro] running beacon campaign…");
+            timing::time("study:anycast", || {
+                study_anycast::run(scenario, &BeaconConfig::default())
             })
-            .as_ref()
-            .map_err(Clone::clone)
+        })
     };
-    let tiers_cell: OnceLock<BbResult<study_tiers::TiersStudy>> = OnceLock::new();
-    let tiers_study = || -> BbResult<&study_tiers::TiersStudy> {
-        tiers_cell
-            .get_or_init(|| {
-                let scenario = google();
-                eprintln!("[repro] probing Premium/Standard tiers…");
-                timing::time("study:tiers", || {
-                    study_tiers::run(scenario, &ProbeConfig::default())
-                })
+    let tiers_study = || {
+        shared(&tiers_cell, || {
+            let scenario = google();
+            eprintln!("[repro] probing Premium/Standard tiers…");
+            timing::time("study:tiers", || {
+                study_tiers::run(scenario, &ProbeConfig::default())
             })
-            .as_ref()
-            .map_err(Clone::clone)
+        })
     };
 
     // --- `repro audit`: invariant + metamorphic sweep, then exit. ---
     // Runs the same shared worlds/studies the figures are computed from
     // through bb-audit's rule catalog. Exit 0 = every rule held, exit 1 =
     // a violation (the build failed its own contract) or a study error.
-    if args.experiment == "audit" {
-        let violate = match std::env::var("BB_AUDIT_VIOLATE") {
-            Ok(rule) => {
-                if !beating_bgp::audit::RULE_NAMES.contains(&rule.as_str()) {
-                    eprintln!(
-                        "BB_AUDIT_VIOLATE: unknown rule {rule:?}; rules: {}",
-                        beating_bgp::audit::RULE_NAMES.join(" ")
-                    );
-                    std::process::exit(2);
-                }
-                Some(rule)
-            }
-            Err(_) => None,
-        };
+    if experiment == "audit" {
         let run = || -> BbResult<beating_bgp::audit::AuditReport> {
             let egress = egress_study()?;
             let anycast = anycast_study()?;
@@ -2153,25 +1791,22 @@ fn main() {
                 google(),
                 tiers,
                 &beating_bgp::audit::AuditOptions {
-                    seed: args.seed,
-                    scale: args.scale,
-                    faults: args.faults.as_str(),
-                    violate,
+                    seed: o.seed,
+                    scale: o.scale,
+                    faults: o.faults.as_str(),
+                    violate: hooks.audit_violate.clone(),
                 },
             ))
         };
         match timing::time("audit", run) {
             Ok(report) => {
                 print!("{}", report.render());
-                if args.timing {
+                if o.timing {
                     eprint!("{}", timing::report());
                 }
                 std::process::exit(if report.passed() { 0 } else { 1 });
             }
-            Err(e) => {
-                eprintln!("audit: shared study failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(Cmd::Run, &format!("audit: shared study failed: {e}")),
         }
     }
 
@@ -2185,14 +1820,20 @@ fn main() {
             files: Vec::new(),
         })
     };
-    // The `--csv` contract is enforced structurally: exporting consumes the
-    // parsed directory by value, so a call without the flag cannot compile
-    // (this used to be a runtime `.expect`, i.e. a panic where the exit-code
-    // contract promises usage errors → 2; flag conflicts are now rejected in
-    // `parse_args` instead).
-    let export_csv = |dir: &std::path::Path, fname: &str, bytes: Vec<u8>| -> BbResult<Vec<(String, Vec<u8>)>> {
-        beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), &bytes)?;
-        Ok(vec![(fname.to_string(), bytes)])
+    // A figure's stdout chunk plus, under `--csv`, its CSV export: written
+    // now and captured so a resumed run can replay it. The bytes are
+    // rendered only when the flag is set.
+    let figure = |render: String, fname: &str, csv: &dyn Fn() -> Vec<u8>| -> BbResult<UnitResult> {
+        let mut files = Vec::new();
+        if let Some(dir) = &o.csv_dir {
+            let bytes = csv();
+            export::write_atomic_bytes(&dir.join(fname), &bytes)?;
+            files.push((fname.to_string(), bytes));
+        }
+        Ok(UnitResult {
+            stdout: format!("{render}\n"),
+            files,
+        })
     };
     type Exp<'a> = (&'static str, Box<dyn Fn() -> BbResult<UnitResult> + Sync + 'a>);
     let experiments: Vec<Exp> = vec![
@@ -2204,13 +1845,8 @@ fn main() {
             "fig1",
             Box::new(|| {
                 let study = egress_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig1.csv", beating_bgp::core::export::fig1_csv_bytes(&study.fig1))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig1.render()),
-                    files,
+                figure(study.fig1.render(), "fig1.csv", &|| {
+                    export::fig1_csv_bytes(&study.fig1)
                 })
             }),
         ),
@@ -2218,13 +1854,8 @@ fn main() {
             "fig2",
             Box::new(|| {
                 let study = egress_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig2.csv", beating_bgp::core::export::fig2_csv_bytes(&study.fig2))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig2.render()),
-                    files,
+                figure(study.fig2.render(), "fig2.csv", &|| {
+                    export::fig2_csv_bytes(&study.fig2)
                 })
             }),
         ),
@@ -2244,13 +1875,8 @@ fn main() {
             "fig3",
             Box::new(|| {
                 let study = anycast_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig3.csv", beating_bgp::core::export::fig3_csv_bytes(&study.fig3))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig3.render()),
-                    files,
+                figure(study.fig3.render(), "fig3.csv", &|| {
+                    export::fig3_csv_bytes(&study.fig3)
                 })
             }),
         ),
@@ -2258,13 +1884,8 @@ fn main() {
             "fig4",
             Box::new(|| {
                 let study = anycast_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig4.csv", beating_bgp::core::export::fig4_csv_bytes(&study.fig4))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig4.render()),
-                    files,
+                figure(study.fig4.render(), "fig4.csv", &|| {
+                    export::fig4_csv_bytes(&study.fig4)
                 })
             }),
         ),
@@ -2272,13 +1893,8 @@ fn main() {
             "fig5",
             Box::new(|| {
                 let study = tiers_study()?;
-                let files = match &args.csv_dir {
-                    Some(dir) => export_csv(dir, "fig5.csv", beating_bgp::core::export::fig5_csv_bytes(&study.fig5))?,
-                    None => Vec::new(),
-                };
-                Ok(UnitResult {
-                    stdout: format!("{}\n", study.fig5.render()),
-                    files,
+                figure(study.fig5.render(), "fig5.csv", &|| {
+                    export::fig5_csv_bytes(&study.fig5)
                 })
             }),
         ),
@@ -2309,7 +1925,7 @@ fn main() {
             Box::new(|| {
                 let mut out =
                     String::from("X-PEER (§3.1.3): reduced peering footprint sweep\n");
-                let base = with_faults(ScenarioConfig::facebook(args.seed, args.scale));
+                let base = with_faults(ScenarioConfig::facebook(o.seed, o.scale));
                 for step in peering_reduction::run(&base, &[0.05, 0.12, 0.3, 0.6, 1.1]) {
                     writeln!(out, "{}", step.render_row()).unwrap();
                 }
@@ -2323,7 +1939,7 @@ fn main() {
                 let mut out =
                     String::from("X-GROOM (§3.2.2): grooming an ungroomed anycast prefix\n");
                 let scenario = microsoft();
-                for step in grooming::run(scenario, args.seed ^ 0x_9700, 12) {
+                for step in grooming::run(scenario, o.seed ^ 0x_9700, 12) {
                     writeln!(out, "{}", step.render_row()).unwrap();
                 }
                 let baseline = grooming::groomed_baseline(scenario);
@@ -2361,7 +1977,7 @@ fn main() {
             Box::new(|| {
                 let r = availability::run(
                     microsoft(),
-                    args.seed ^ 0x_a1a,
+                    o.seed ^ 0x_a1a,
                     &availability::RecoveryConfig::default(),
                 );
                 text(format!("{}\n", r.render()))
@@ -2403,7 +2019,7 @@ fn main() {
                     ("correlated (default)", 0.10, 0.35, 0.25),
                     ("independent", 0.0, 0.0, 2.0),
                 ] {
-                    let mut cfg = with_faults(ScenarioConfig::facebook(args.seed, args.scale));
+                    let mut cfg = with_faults(ScenarioConfig::facebook(o.seed, o.scale));
                     cfg.congestion.metro_events_per_day = metro;
                     cfg.congestion.lastmile_events_per_day = lastmile;
                     cfg.congestion.link_events_per_day = link;
@@ -2414,7 +2030,7 @@ fn main() {
                         cfg.congestion.event_severity = (0.35, 0.7);
                     }
                     let scenario = Scenario::try_build(cfg)?;
-                    let study = study_egress::run(&scenario, &spray_cfg(args.scale))?;
+                    let study = study_egress::run(&scenario, &spray_cfg(o.scale))?;
                     writeln!(
                         out,
                         "    {label:<22} median-improvable>=5ms {:.1}%  windows-improvable {:.1}%  degrade-together {:.0}%",
@@ -2429,7 +2045,7 @@ fn main() {
                 // anycast misdirection.
                 out.push_str("  [exit fidelity]\n");
                 for (label, factor) in [("sloppy (default)", 0.72_f64), ("perfect geo", 1.0)] {
-                    let mut cfg = with_faults(ScenarioConfig::microsoft(args.seed, args.scale));
+                    let mut cfg = with_faults(ScenarioConfig::microsoft(o.seed, o.scale));
                     cfg.exit_fidelity_factor = factor;
                     let scenario = Scenario::try_build(cfg)?;
                     let study = study_anycast::run(
@@ -2466,14 +2082,16 @@ fn main() {
 
     let selected: Vec<Exp> = experiments.into_iter().filter(|(n, _)| want(n)).collect();
     if selected.is_empty() {
-        eprintln!("unknown experiment '{}' — try --help", args.experiment);
-        std::process::exit(2);
+        usage(
+            Cmd::Run,
+            &format!("unknown experiment '{experiment}' — try --help"),
+        );
     }
     let names: Vec<&'static str> = selected.iter().map(|(n, _)| *n).collect();
     // The orchestrator plans shard slices and chaos against
     // `EXPERIMENT_NAMES` without building the closures; the two lists must
     // stay identical, in the same order.
-    if args.experiment == "all" {
+    if experiment == "all" {
         debug_assert_eq!(names, EXPERIMENT_NAMES, "EXPERIMENT_NAMES is out of date");
     }
 
@@ -2483,7 +2101,7 @@ fn main() {
     // list: every shard of one campaign carries an identical key, which is
     // what lets `repro merge` verify the manifests belong together and
     // that, combined, they cover everything.
-    let shard_names: Vec<&'static str> = match args.shard {
+    let shard_names: Vec<&'static str> = match o.shard {
         Some((idx, n)) => {
             let lo = idx * names.len() / n;
             let hi = (idx + 1) * names.len() / n;
@@ -2502,13 +2120,13 @@ fn main() {
     // The campaign key pins everything that feeds unit output; a manifest
     // whose key mismatches is rejected (exit 2), never silently reused.
     // `--resume DIR` implies continuing to checkpoint into DIR.
-    let ckpt_dir = args.resume.clone().or_else(|| args.checkpoint.clone());
+    let ckpt_dir = o.resume.clone().or_else(|| o.checkpoint.clone());
     let campaign_key = CampaignKey::new(
-        args.seed,
-        scale_label(args.scale),
-        args.faults.as_str(),
+        o.seed,
+        o.scale.as_str(),
+        o.faults.as_str(),
         names.join(","),
-        args.csv_dir.is_some(),
+        o.csv_dir.is_some(),
     );
     let mut replay: std::collections::BTreeMap<&'static str, UnitResult> =
         std::collections::BTreeMap::new();
@@ -2516,7 +2134,7 @@ fn main() {
         None => None,
         Some(dir) => {
             install_signal_drain();
-            let ck = if args.resume.is_some() {
+            let ck = if o.resume.is_some() {
                 match Checkpoint::load_salvaging(dir).and_then(|(ck, salvage)| {
                     ck.validate(&campaign_key)?;
                     Ok((ck, salvage))
@@ -2547,10 +2165,7 @@ fn main() {
                         );
                         ck
                     }
-                    Err(e) => {
-                        eprintln!("--resume: {e}");
-                        std::process::exit(2);
-                    }
+                    Err(e) => usage(Cmd::Run, &format!("--resume: {e}")),
                 }
             } else {
                 Checkpoint::new(campaign_key.clone())
@@ -2569,13 +2184,7 @@ fn main() {
         ck.windows_done = beating_bgp::measure::progress::windows_done();
         timing::time("checkpoint:flush", || {
             if let Err(e) = ck.save(&shared.0) {
-                eprintln!("repro: checkpoint flush failed: {e}");
-                eprintln!(
-                    "repro: previous manifest in {} is intact; rerun with --resume \
-                     after freeing space",
-                    shared.0.display()
-                );
-                std::process::exit(1);
+                fail_closed(Cmd::Run, "checkpoint flush", &e, &shared.0);
             }
         });
     };
@@ -2597,13 +2206,7 @@ fn main() {
             );
             timing::time("checkpoint:heartbeat", || {
                 if let Err(e) = hb.save(&shared.0) {
-                    eprintln!("repro: heartbeat write failed: {e}");
-                    eprintln!(
-                        "repro: checkpoint in {} is intact; rerun with --resume \
-                         after freeing space",
-                        shared.0.display()
-                    );
-                    std::process::exit(1);
+                    fail_closed(Cmd::Run, "heartbeat write", &e, &shared.0);
                 }
             });
         }
@@ -2636,63 +2239,18 @@ fn main() {
 
     // Experiments still to run (this shard's slice, minus anything already
     // replayed from a checkpoint).
-    let run_list: Vec<Exp> = selected
+    let run_list: Vec<&Exp> = selected
         .iter()
         .filter(|(n, _)| !replay.contains_key(n) && shard_names.contains(n))
-        .map(|(n, run)| {
-            // Re-borrow the boxed closure; the original stays in `selected`.
-            let run: &(dyn Fn() -> BbResult<UnitResult> + Sync) = run.as_ref();
-            (*n, Box::new(move || run()) as Box<dyn Fn() -> BbResult<UnitResult> + Sync>)
-        })
         .collect();
 
-    // Test hooks: BB_REPRO_POISON=<name> makes that experiment panic on
-    // every attempt (exercises isolation + --keep-going end to end);
-    // BB_REPRO_POISON=<name>:<k> panics only the first k attempts, so the
-    // supervised-retry recovery path can be driven deterministically.
-    // BB_REPRO_UNIT_LIMIT=<n> cancels the campaign after n finalized
-    // experiments — a deterministic stand-in for SIGTERM in tests.
-    // BB_REPRO_CRASH=<n> hard-exits the process (code 101, like an escaped
-    // panic) right after the n-th experiment is finalized and flushed — a
-    // deterministic worker crash for the orchestrator's chaos plans.
-    // BB_REPRO_STALL=<name>[:secs] sleeps that long (default 30s) before
-    // running <name>, first attempt only — a deterministic hang, stale
-    // heartbeat included, that a restarted attempt does not repeat.
-    let poison = std::env::var("BB_REPRO_POISON").ok();
-    let (poison_name, poison_attempts): (Option<String>, u32) = match poison {
-        None => (None, 0),
-        Some(spec) => match spec.split_once(':') {
-            Some((name, k)) => (
-                Some(name.to_string()),
-                k.parse().unwrap_or_else(|_| {
-                    eprintln!("BB_REPRO_POISON: bad attempt count in {spec:?}");
-                    std::process::exit(2);
-                }),
-            ),
-            None => (Some(spec), u32::MAX),
-        },
-    };
-    let unit_limit: Option<usize> = std::env::var("BB_REPRO_UNIT_LIMIT")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let crash_after: Option<usize> = std::env::var("BB_REPRO_CRASH").ok().map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("BB_REPRO_CRASH: bad unit count {s:?}");
-            std::process::exit(2);
-        })
-    });
-    let stall: Option<(String, f64)> = std::env::var("BB_REPRO_STALL").ok().map(|spec| {
-        match spec.split_once(':') {
-            Some((name, secs)) => (
-                name.to_string(),
-                secs.parse().unwrap_or_else(|_| {
-                    eprintln!("BB_REPRO_STALL: bad seconds in {spec:?}");
-                    std::process::exit(2);
-                }),
-            ),
-            None => (spec, 30.0),
-        }
-    });
+    let Hooks {
+        poison,
+        unit_limit,
+        crash: crash_after,
+        stall,
+        ..
+    } = hooks;
     let finalized = AtomicUsize::new(0);
     let cancel = || {
         INTERRUPTED.load(Ordering::Relaxed)
@@ -2731,7 +2289,7 @@ fn main() {
         max_retries: 2,
         backoff_base: std::time::Duration::from_millis(50),
         retry_budget: 8,
-        jitter_seed: args.seed,
+        jitter_seed: o.seed,
     };
     // Per-experiment route-cache attribution: snapshot the process-wide
     // counters around each closure. At `--jobs 1` the deltas are exact; with
@@ -2739,9 +2297,17 @@ fn main() {
     // whichever experiment was on the clock (documented in the report).
     let cache_deltas: Mutex<std::collections::BTreeMap<&'static str, (u64, u64)>> =
         Mutex::new(std::collections::BTreeMap::new());
-    let (outcomes, sup_report) =
-        supervisor::supervise(&run_list, &policy, None, &cancel, &on_final, |_, attempt, (name, run)| {
-            if poison_name.as_deref() == Some(*name) && attempt < poison_attempts {
+    let (outcomes, sup_report) = supervisor::supervise(
+        &run_list,
+        &policy,
+        None,
+        &cancel,
+        &on_final,
+        |_, attempt, (name, run)| {
+            if poison
+                .as_ref()
+                .is_some_and(|(p, k)| p == name && attempt < *k)
+            {
                 panic!("poisoned by BB_REPRO_POISON (attempt {attempt})");
             }
             if let Some((stall_name, secs)) = &stall {
@@ -2779,43 +2345,40 @@ fn main() {
     // final manifest, say how to pick the run back up, and exit 130 with
     // NOTHING on stdout — partial stdout is worse than none, and the resume
     // path reproduces the full byte-identical output anyway.
-    let interrupted = outcomes.iter().any(|o| o.is_none());
-    if interrupted {
-        match &ck_shared {
-            Some(shared) => {
-                flush(shared);
-                let done = shared.1.lock().unwrap_or_else(|e| e.into_inner()).units.len();
-                eprintln!("=== INTERRUPTED (resumable) ===");
-                eprintln!(
-                    "  completed {done}/{} experiments; checkpoint flushed to {}",
-                    selected.len(),
-                    shared.0.display()
-                );
-                let shard_suffix = args
-                    .shard
-                    .map(|(idx, n)| format!(" --shard {idx}/{n}"))
-                    .unwrap_or_default();
-                eprintln!(
-                    "  resume with: repro {} --resume {} --seed {} --scale {} --faults {}{}",
-                    args.experiment,
-                    shared.0.display(),
-                    args.seed,
-                    scale_label(args.scale),
-                    args.faults.as_str(),
-                    shard_suffix
-                );
-                eprintln!("=== END INTERRUPTED ===");
-            }
-            None => {
-                eprintln!("=== INTERRUPTED ===");
-                eprintln!(
-                    "  campaign stopped early with no --checkpoint directory; completed \
-                     work was discarded"
-                );
-                eprintln!("=== END INTERRUPTED ===");
-            }
-        }
-        std::process::exit(130);
+    if outcomes.iter().any(|o| o.is_none()) {
+        let Some(shared) = &ck_shared else {
+            interrupted(
+                "INTERRUPTED",
+                &[
+                    "campaign stopped early with no --checkpoint directory; completed work was \
+                   discarded"
+                        .to_string(),
+                ],
+            );
+        };
+        flush(shared);
+        let done = shared
+            .1
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .units
+            .len();
+        let (dir, total) = (shared.0.display(), selected.len());
+        let shard = o
+            .shard
+            .map(|(idx, n)| format!(" --shard {idx}/{n}"))
+            .unwrap_or_default();
+        let (seed, scale, faults) = (o.seed, o.scale.as_str(), o.faults.as_str());
+        interrupted(
+            "INTERRUPTED (resumable)",
+            &[
+                format!("completed {done}/{total} experiments; checkpoint flushed to {dir}"),
+                format!(
+                    "resume with: repro {experiment} --resume {dir} --seed {seed} --scale {scale} \
+                     --faults {faults}{shard}"
+                ),
+            ],
+        );
     }
 
     // Assemble stdout in selection order: replayed units contribute their
@@ -2832,11 +2395,9 @@ fn main() {
     for name in &shard_names {
         if let Some(unit) = replay.get(name) {
             stdout.push_str(&unit.stdout);
-            if let Some(dir) = &args.csv_dir {
+            if let Some(dir) = &o.csv_dir {
                 for (fname, bytes) in &unit.files {
-                    if let Err(e) =
-                        beating_bgp::core::export::write_atomic_bytes(&dir.join(fname), bytes)
-                    {
+                    if let Err(e) = export::write_atomic_bytes(&dir.join(fname), bytes) {
                         failures.push((name, format!("replaying cached export: {e}")));
                     }
                 }
@@ -2862,10 +2423,13 @@ fn main() {
     for (name, message) in &failures {
         eprintln!("=== EXPERIMENT FAILED: {name} ===");
         eprintln!("  {message}");
-        eprintln!("  (seed {}, scale {:?}, faults {:?})", args.seed, args.scale, args.faults);
+        eprintln!(
+            "  (seed {}, scale {:?}, faults {:?})",
+            o.seed, o.scale, o.faults
+        );
         eprintln!("=== END {name} ===");
     }
-    if !failures.is_empty() && !args.keep_going {
+    if !failures.is_empty() && !o.keep_going {
         eprintln!(
             "{} of {} experiments failed; rerun with --keep-going to print survivors",
             failures.len(),
@@ -2876,7 +2440,7 @@ fn main() {
     // A shard's stdout is withheld: `repro merge` reassembles the campaign's
     // full output from the manifests, byte-identical to an unsharded run —
     // partial per-shard stdout would only invite accidental concatenation.
-    if args.shard.is_none() {
+    if o.shard.is_none() {
         print!("{stdout}");
     } else if let Some(shared) = &ck_shared {
         eprintln!(
@@ -2888,7 +2452,7 @@ fn main() {
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
-    if args.timing {
+    if o.timing {
         eprint!("{}", timing::report());
         if !cache_by_exp.is_empty() {
             eprintln!(
@@ -2922,16 +2486,73 @@ fn main() {
             replay.len()
         );
     }
-    if let Some(path) = &args.timing_json {
-        let report = perf_report(&args, wall_s, &sup_report, cache_by_exp.clone());
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("--timing-json: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_timing_json(o, experiment, wall_s, |r| {
+        r.route_cache_by_experiment = cache_by_exp;
+        r.supervision = beating_bgp::bench::SupervisionStats {
+            attempts: sup_report.attempts,
+            retries: sup_report.retries,
+            panics_absorbed: sup_report.panics_absorbed,
+            recovered: sup_report.count("recovered") as u64,
+            failed: sup_report.count("failed") as u64,
+            skipped: sup_report.count("skipped") as u64,
+            budget_exhausted: sup_report.budget_exhausted,
+        };
+    });
     if !failures.is_empty() {
         // Partial run under --keep-going: survivors printed, but the run
         // as a whole did not reproduce everything asked of it.
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The synopsis block in the module doc and in the README is the head
+    /// of the generated `--help`, so neither can drift from [`FLAGS`].
+    #[test]
+    fn documented_synopses_match_generated_help() {
+        let synopses: String = CMDS
+            .iter()
+            .flat_map(|c| {
+                let head: Vec<String> = help(c)
+                    .lines()
+                    .take_while(|l| l.starts_with("usage: ") || l.starts_with("       "))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                head
+            })
+            .collect();
+        let module_doc: String = include_str!("repro.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+            .collect();
+        assert!(
+            module_doc.contains(&synopses),
+            "module doc is stale:\n{synopses}"
+        );
+        assert!(
+            include_str!("../../README.md").contains(&synopses),
+            "README is stale:\n{synopses}"
+        );
+    }
+
+    /// Two rows with one name for the same subcommand would make the
+    /// second unreachable.
+    #[test]
+    fn no_flag_is_defined_twice_for_one_command() {
+        for c in &CMDS {
+            let mut names: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.cmds & c.cmd as u8 != 0)
+                .map(|f| f.name)
+                .collect();
+            let n = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), n, "duplicate flag for `repro {}`", c.name);
+        }
     }
 }
