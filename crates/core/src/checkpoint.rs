@@ -3,10 +3,10 @@
 //! A long campaign (`repro all`) is a sequence of *units* — one per
 //! experiment — each producing a stdout block and optionally rendered CSV
 //! files. After every completed unit the harness serializes all completed
-//! results into a `checkpoint.bbck` manifest in the checkpoint directory,
-//! written with the same atomic temp-file+rename writer as the CSV exports
-//! ([`crate::export::write_atomic_bytes`]), so a crash mid-flush never
-//! leaves a torn manifest.
+//! results into a `checkpoint.bbck` manifest in the checkpoint directory.
+//! The manifest is a [`crate::record`] framed record, written by the same
+//! atomic writer as the CSV exports, so a crash mid-flush never leaves a
+//! torn manifest.
 //!
 //! **Keying rule.** A manifest is only valid for the exact campaign that
 //! wrote it. The [`CampaignKey`] captures everything that feeds unit
@@ -24,9 +24,8 @@
 //! The topology is a pure function of `(scale, seed)`, which the key
 //! already pins; see DESIGN.md §5b.)
 //!
-//! **Format.** `bbck/v1` is a line-oriented header with length-prefixed raw
-//! blobs, so stdout and CSV bytes round-trip exactly (no escaping, no
-//! encoding). Every blob carries an FNV-1a 64 checksum verified on load:
+//! **Format.** `bbck/v1` is the record header followed by one blob per
+//! unit stdout and per rendered file:
 //!
 //! ```text
 //! bbck/v1
@@ -44,12 +43,8 @@
 //! end
 //! ```
 //!
-//! **Durability.** [`write_atomic_bytes`] gives the manifest the full
-//! crash-safety ladder: the bytes are written to a same-directory temp
-//! file, fsynced, renamed over the target, and then the *containing
-//! directory* is fsynced too — without that last step a power loss right
-//! after the rename can forget the directory entry and the manifest
-//! vanishes even though its blocks were on disk. Once `save` returns, the
+//! **Durability.** The manifest gets the writer's full crash-safety ladder
+//! (temp file, fsync, rename, directory fsync): once `save` returns, the
 //! manifest survives a crash at any instant.
 //!
 //! **Salvage.** A manifest can still arrive torn when the filesystem
@@ -61,20 +56,22 @@
 //! instead of rejecting the whole manifest. Mid-record corruption (a
 //! checksum mismatch with the bytes fully present) is still rejected —
 //! that is damage, not truncation, and replaying it would violate the
-//! byte-identity contract.
+//! byte-identity contract. Strict [`Checkpoint::decode`] is the salvaging
+//! decode that rejects anything salvaged.
 //!
 //! **Heartbeats.** Orchestrated shard runs (`repro orchestrate`) also
 //! keep a tiny `heartbeat.bbhb` record next to the manifest: progress
 //! counters plus a wall timestamp, rewritten atomically every few
 //! thousand measurement windows. The supervisor treats a heartbeat whose
 //! *content* stops changing as a hung shard; the file is advisory
-//! telemetry, never part of the campaign output.
+//! telemetry, never part of the campaign output, and nothing parses it.
 
 use crate::error::{BbError, BbResult};
-use crate::export::write_atomic_bytes;
+use crate::record::{self, Format, Reader, Value, Writer};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
+
+pub use crate::record::CODE_SCHEMA;
 
 /// Manifest file name inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "checkpoint.bbck";
@@ -82,10 +79,11 @@ pub const MANIFEST_NAME: &str = "checkpoint.bbck";
 /// On-disk format version (parser compatibility).
 pub const FORMAT: &str = "bbck/v1";
 
-/// Output-schema version of the *code*. Bump whenever any experiment's
-/// stdout or CSV format changes, so checkpoints written by older builds are
-/// rejected instead of replaying stale bytes.
-pub const CODE_SCHEMA: u32 = 1;
+static RECORD: Format = Format {
+    tag: FORMAT,
+    noun: "checkpoint",
+    refusal: "refusing to salvage",
+};
 
 /// Heartbeat file name inside a checkpoint directory (liveness telemetry
 /// for `repro orchestrate`, never part of the campaign output).
@@ -93,16 +91,6 @@ pub const HEARTBEAT_NAME: &str = "heartbeat.bbhb";
 
 /// On-disk format version of the heartbeat record.
 pub const HEARTBEAT_FORMAT: &str = "bbhb/v1";
-
-/// FNV-1a 64-bit hash — the checksum guarding every blob in the manifest.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Identity of one campaign: a checkpoint is valid only for an exact match.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +124,32 @@ impl CampaignKey {
             csv,
             code_schema: CODE_SCHEMA,
         }
+    }
+
+    /// The key's header fields, in header order.
+    fn fields(&self) -> [(&'static str, Value<'_>); 6] {
+        [
+            ("seed", Value::Int(self.seed)),
+            ("scale", Value::Text(&self.scale)),
+            ("faults", Value::Text(&self.faults)),
+            ("experiments", Value::Text(&self.experiments)),
+            ("csv", Value::Flag(self.csv)),
+            ("code_schema", Value::Int(self.code_schema.into())),
+        ]
+    }
+
+    /// Parse the header fields [`CampaignKey::fields`] wrote. A torn header
+    /// is never salvageable: without the full key the prefix cannot be
+    /// validated.
+    fn read(r: &mut Reader<'_>) -> BbResult<Self> {
+        Ok(Self {
+            seed: r.field("seed")?,
+            scale: r.field("scale")?,
+            faults: r.field("faults")?,
+            experiments: r.field("experiments")?,
+            csv: r.flag("csv")?,
+            code_schema: r.field("code_schema")?,
+        })
     }
 }
 
@@ -181,126 +195,55 @@ impl Checkpoint {
     /// Reject the manifest unless its key matches `expect` exactly, naming
     /// the first mismatching field.
     pub fn validate(&self, expect: &CampaignKey) -> BbResult<()> {
-        let k = &self.key;
-        let mismatch = |field: &str, have: &str, want: &str| {
-            Err(BbError::checkpoint(format!(
-                "{field} mismatch: checkpoint has {have}, this run wants {want} \
-                 (refusing to reuse a stale checkpoint)"
-            )))
-        };
-        if k.code_schema != expect.code_schema {
-            return mismatch(
-                "code_schema",
-                &k.code_schema.to_string(),
-                &expect.code_schema.to_string(),
-            );
-        }
-        if k.seed != expect.seed {
-            return mismatch("seed", &k.seed.to_string(), &expect.seed.to_string());
-        }
-        if k.scale != expect.scale {
-            return mismatch("scale", &k.scale, &expect.scale);
-        }
-        if k.faults != expect.faults {
-            return mismatch("faults", &k.faults, &expect.faults);
-        }
-        if k.experiments != expect.experiments {
-            return mismatch("experiments", &k.experiments, &expect.experiments);
-        }
-        if k.csv != expect.csv {
-            return mismatch("csv", bool_str(k.csv), bool_str(expect.csv));
-        }
-        Ok(())
+        record::check_key(&RECORD, &self.key.fields(), &expect.fields())
     }
 
     /// Serialize to `bbck/v1` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let k = &self.key;
-        let mut head = String::new();
-        let _ = writeln!(head, "{FORMAT}");
-        let _ = writeln!(head, "seed {}", k.seed);
-        let _ = writeln!(head, "scale {}", k.scale);
-        let _ = writeln!(head, "faults {}", k.faults);
-        let _ = writeln!(head, "experiments {}", k.experiments);
-        let _ = writeln!(head, "csv {}", bool_str(k.csv));
-        let _ = writeln!(head, "code_schema {}", k.code_schema);
-        let _ = writeln!(head, "windows_done {}", self.windows_done);
-        let mut out = head.into_bytes();
+        let mut w = Writer::new(FORMAT);
+        w.key(&self.key.fields())
+            .field("windows_done", self.windows_done);
         for (name, unit) in &self.units {
-            let stdout = unit.stdout.as_bytes();
-            let _ = writeln!(
-                str_sink(&mut out),
-                "unit {name} {} {} {:016x}",
-                unit.files.len(),
-                stdout.len(),
-                fnv1a(stdout)
+            w.blob(
+                format_args!("unit {name} {}", unit.files.len()),
+                unit.stdout.as_bytes(),
             );
-            out.extend_from_slice(stdout);
-            out.push(b'\n');
             for (fname, bytes) in &unit.files {
-                let _ = writeln!(
-                    str_sink(&mut out),
-                    "file {fname} {} {:016x}",
-                    bytes.len(),
-                    fnv1a(bytes)
-                );
-                out.extend_from_slice(bytes);
-                out.push(b'\n');
+                w.blob(format_args!("file {fname}"), bytes);
             }
         }
-        out.extend_from_slice(b"end\n");
-        out
+        w.end()
     }
 
     /// Atomically write the manifest into `dir`.
     pub fn save(&self, dir: &Path) -> BbResult<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| BbError::io(format!("create checkpoint dir {}", dir.display()), e))?;
-        write_atomic_bytes(&dir.join(MANIFEST_NAME), &self.encode())
+        record::save(dir, MANIFEST_NAME, &self.encode(), true)
     }
 
     /// Load and parse the manifest from `dir`. Parse/checksum failures are
     /// [`BbError::Checkpoint`]; a missing file is [`BbError::Io`].
     pub fn load(dir: &Path) -> BbResult<Checkpoint> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
+        Self::decode(&record::load(dir, MANIFEST_NAME)?)
     }
 
     /// Like [`Checkpoint::load`], but a manifest whose trailing record is
     /// cut off at EOF loads the valid prefix instead of failing (see
     /// [`Checkpoint::decode_salvaging`]).
     pub fn load_salvaging(dir: &Path) -> BbResult<(Checkpoint, Option<Salvage>)> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode_salvaging(&bytes)
+        Self::decode_salvaging(&record::load(dir, MANIFEST_NAME)?)
     }
 
     /// Parse `bbck/v1` bytes. Any damage — truncation included — is an
     /// error; use [`Checkpoint::decode_salvaging`] to recover the valid
     /// prefix of a torn manifest.
     pub fn decode(bytes: &[u8]) -> BbResult<Checkpoint> {
-        let mut p = Parser { bytes, pos: 0 };
-        let (key, windows_done) = parse_header(&mut p)?;
-        let mut units = BTreeMap::new();
-        loop {
-            match parse_unit(&mut p)? {
-                UnitParse::End => break,
-                UnitParse::Unit(name, unit) => {
-                    units.insert(name, unit);
-                }
-                UnitParse::Torn(what) => {
-                    return Err(BbError::checkpoint(format!("truncated manifest ({what})")));
-                }
-            }
+        match Self::decode_salvaging(bytes)? {
+            (ck, None) => Ok(ck),
+            (_, Some(salvage)) => Err(BbError::checkpoint(format!(
+                "truncated checkpoint ({})",
+                salvage.dropped
+            ))),
         }
-        Ok(Checkpoint {
-            key,
-            units,
-            windows_done,
-        })
     }
 
     /// Parse `bbck/v1` bytes, salvaging a torn tail.
@@ -314,12 +257,13 @@ impl Checkpoint {
     /// malformed line with its bytes fully present, a torn header — is
     /// still an error: replaying corrupt bytes would break byte-identity.
     pub fn decode_salvaging(bytes: &[u8]) -> BbResult<(Checkpoint, Option<Salvage>)> {
-        let mut p = Parser { bytes, pos: 0 };
-        let (key, windows_done) = parse_header(&mut p)?;
+        let mut r = Reader::open(&RECORD, bytes)?;
+        let key = CampaignKey::read(&mut r)?;
+        let windows_done = r.field("windows_done")?;
         let mut units = BTreeMap::new();
         let salvage = loop {
-            let record_start = p.pos;
-            match parse_unit(&mut p)? {
+            let record_start = r.pos();
+            match parse_unit(&mut r)? {
                 UnitParse::End => break None,
                 UnitParse::Unit(name, unit) => {
                     units.insert(name, unit);
@@ -366,50 +310,6 @@ impl std::fmt::Display for Salvage {
     }
 }
 
-/// Parse the `bbck/v1` header lines. A torn header is never salvageable —
-/// without the full [`CampaignKey`] the prefix cannot be validated.
-fn parse_header(p: &mut Parser<'_>) -> BbResult<(CampaignKey, u64)> {
-    // A zero-length manifest is its own diagnosis (an atomic writer can
-    // never produce one — it means the file was created by something else
-    // or zeroed by filesystem damage), not a generic truncation.
-    if p.bytes.is_empty() {
-        return Err(BbError::checkpoint(
-            "manifest is empty (0 bytes at byte offset 0) — not a torn \
-             write; refusing to salvage",
-        ));
-    }
-    let version = p.line()?;
-    if version != FORMAT {
-        return Err(BbError::checkpoint(format!(
-            "unsupported format {version:?}, this build reads {FORMAT}"
-        )));
-    }
-    let seed: u64 = p.field("seed")?;
-    let scale = p.field_str("scale")?;
-    let faults = p.field_str("faults")?;
-    let experiments = p.field_str("experiments")?;
-    let csv = match p.field_str("csv")?.as_str() {
-        "1" => true,
-        "0" => false,
-        other => {
-            return Err(BbError::checkpoint(format!("bad csv flag {other:?}")));
-        }
-    };
-    let code_schema: u32 = p.field("code_schema")?;
-    let windows_done: u64 = p.field("windows_done")?;
-    Ok((
-        CampaignKey {
-            seed,
-            scale,
-            faults,
-            experiments,
-            csv,
-            code_schema,
-        },
-        windows_done,
-    ))
-}
-
 /// One record from the unit section of a manifest.
 enum UnitParse {
     Unit(String, UnitResult),
@@ -421,86 +321,60 @@ enum UnitParse {
     Torn(String),
 }
 
-fn parse_unit(p: &mut Parser<'_>) -> BbResult<UnitParse> {
-    let line = match p.line_opt()? {
-        Some(line) => line,
-        None => return Ok(UnitParse::Torn("record header cut at EOF".to_string())),
+/// The shortest `file` record the parser accepts, `file x 0 0\n\n`: a
+/// file count can never justify pre-allocating more entries than the
+/// remaining bytes hold records of this size.
+const MIN_FILE_RECORD: usize = 12;
+
+fn parse_unit(r: &mut Reader<'_>) -> BbResult<UnitParse> {
+    let Some(line) = r.line_opt()? else {
+        return Ok(UnitParse::Torn("record header cut at EOF".to_string()));
     };
     if line == "end" {
         return Ok(UnitParse::End);
     }
-    let mut tok = line.split(' ');
-    if tok.next() != Some("unit") {
+    let Some(rest) = line.strip_prefix("unit ") else {
         return Err(BbError::checkpoint(format!(
             "expected `unit` or `end`, got {line:?}"
         )));
-    }
-    let name = tok
-        .next()
-        .ok_or_else(|| BbError::checkpoint("unit line missing name"))?
-        .to_string();
-    let n_files: usize = parse_tok(tok.next(), "unit file count")?;
-    let stdout_len: usize = parse_tok(tok.next(), "unit stdout length")?;
-    let sum: u64 = parse_hex(tok.next(), "unit stdout checksum")?;
-    let blob_at = p.pos;
-    let stdout_bytes = match p.blob_opt(stdout_len, &name)? {
-        Some(blob) => blob,
-        None => {
-            return Ok(UnitParse::Torn(format!(
-                "stdout blob of unit {name} cut at EOF"
-            )));
-        }
     };
-    if fnv1a(stdout_bytes) != sum {
-        return Err(BbError::checkpoint(format!(
-            "checksum mismatch in stdout of unit {name} \
-             (blob at byte offset {blob_at}, mid-file corruption — not a \
-             torn tail, refusing to salvage)"
+    let (label, len, sum) = record::blob_line(rest)?;
+    let (name, n_files) = label
+        .split_once(' ')
+        .and_then(|(name, n)| Some((name, n.parse::<usize>().ok()?)))
+        .ok_or_else(|| BbError::checkpoint(format!("bad unit line {line:?}")))?;
+    let Some(stdout) = r.blob(len, sum, &format!("stdout of unit {name}"))? else {
+        return Ok(UnitParse::Torn(format!(
+            "stdout blob of unit {name} cut at EOF"
         )));
-    }
-    let stdout = String::from_utf8(stdout_bytes.to_vec())
+    };
+    let stdout = String::from_utf8(stdout.to_vec())
         .map_err(|_| BbError::checkpoint(format!("unit {name} stdout is not UTF-8")))?;
-    let mut files = Vec::with_capacity(n_files);
+    let mut files = Vec::with_capacity(n_files.min(r.remaining() / MIN_FILE_RECORD));
     for _ in 0..n_files {
-        let fline = match p.line_opt()? {
-            Some(line) => line,
-            None => {
-                return Ok(UnitParse::Torn(format!(
-                    "file record of unit {name} cut at EOF"
-                )));
-            }
+        let Some(fline) = r.line_opt()? else {
+            return Ok(UnitParse::Torn(format!(
+                "file record of unit {name} cut at EOF"
+            )));
         };
-        let mut ftok = fline.split(' ');
-        if ftok.next() != Some("file") {
+        let Some(rest) = fline.strip_prefix("file ") else {
             return Err(BbError::checkpoint(format!(
                 "expected `file` in unit {name}, got {fline:?}"
             )));
-        }
-        let fname = ftok
-            .next()
-            .ok_or_else(|| BbError::checkpoint("file line missing name"))?
-            .to_string();
-        let len: usize = parse_tok(ftok.next(), "file length")?;
-        let fsum: u64 = parse_hex(ftok.next(), "file checksum")?;
-        let fblob_at = p.pos;
-        let blob = match p.blob_opt(len, &fname)? {
-            Some(blob) => blob,
-            None => {
-                return Ok(UnitParse::Torn(format!(
-                    "blob of file {fname} in unit {name} cut at EOF"
-                )));
-            }
         };
-        if fnv1a(blob) != fsum {
-            return Err(BbError::checkpoint(format!(
-                "checksum mismatch in file {fname} of unit {name} \
-                 (blob at byte offset {fblob_at}, mid-file corruption — \
-                 not a torn tail, refusing to salvage)"
+        let (fname, len, sum) = record::blob_line(rest)?;
+        let what = format!("file {fname} of unit {name}");
+        let Some(blob) = r.blob(len, sum, &what)? else {
+            return Ok(UnitParse::Torn(format!(
+                "blob of file {fname} in unit {name} cut at EOF"
             )));
-        }
-        files.push((fname, blob.to_vec()));
+        };
+        files.push((fname.to_string(), blob.to_vec()));
     }
-    Ok(UnitParse::Unit(name, UnitResult { stdout, files }))
+    Ok(UnitParse::Unit(
+        name.to_string(),
+        UnitResult { stdout, files },
+    ))
 }
 
 /// Per-shard liveness record for orchestrated runs: progress counters plus
@@ -508,7 +382,7 @@ fn parse_unit(p: &mut Parser<'_>) -> BbResult<UnitParse> {
 /// measurement windows. Advisory telemetry only — the orchestrator detects
 /// a hung shard by watching the *content* stop changing against its own
 /// monotonic clock, so the timestamp never needs clock agreement between
-/// writer and watcher.
+/// writer and watcher, and no code parses the record back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Heartbeat {
     /// Measurement windows completed so far in this shard process.
@@ -533,34 +407,13 @@ impl Heartbeat {
         }
     }
 
+    /// `bbhb/v1` bytes: the record header lines only.
     pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{HEARTBEAT_FORMAT}\nwindows {}\nunits {}\nstamp_ms {}\n",
-            self.windows_done, self.units_done, self.stamp_ms
-        )
-        .into_bytes()
-    }
-
-    pub fn decode(bytes: &[u8]) -> BbResult<Heartbeat> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| BbError::checkpoint("heartbeat is not UTF-8"))?;
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(v) if v == HEARTBEAT_FORMAT => {}
-            other => {
-                return Err(BbError::checkpoint(format!(
-                    "bad heartbeat header {other:?}, this build reads {HEARTBEAT_FORMAT}"
-                )));
-            }
-        }
-        let windows_done = heartbeat_field(lines.next(), "windows")?;
-        let units_done = heartbeat_field(lines.next(), "units")?;
-        let stamp_ms = heartbeat_field(lines.next(), "stamp_ms")?;
-        Ok(Heartbeat {
-            windows_done,
-            units_done,
-            stamp_ms,
-        })
+        let mut w = Writer::new(HEARTBEAT_FORMAT);
+        w.field("windows", self.windows_done)
+            .field("units", self.units_done)
+            .field("stamp_ms", self.stamp_ms);
+        w.into_bytes()
     }
 
     /// Atomically replace the heartbeat in `dir` (temp file + rename, so a
@@ -569,48 +422,11 @@ impl Heartbeat {
     /// same system, where rename alone guarantees readers see whole records
     /// — durability after power loss buys nothing, and paying the manifest
     /// writer's sync cost every beat would make heartbeats expensive enough
-    /// to throttle.
+    /// to throttle. It still shares the writer's disk-full injection point,
+    /// so `BB_REPRO_ENOSPC` proves this path fails closed too.
     pub fn save(&self, dir: &Path) -> BbResult<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| BbError::io(format!("create checkpoint dir {}", dir.display()), e))?;
-        let path = dir.join(HEARTBEAT_NAME);
-        // Heartbeats skip the fsync ladder but are still atomic writers:
-        // they share the disk-full injection point with
-        // `write_atomic_bytes`, so `BB_REPRO_ENOSPC` can prove this path
-        // fails closed too (prior heartbeat intact, no torn rename).
-        if let Some(e) = crate::export::injected_enospc(&path) {
-            return Err(e);
-        }
-        let tmp = dir.join(format!("{HEARTBEAT_NAME}.tmp"));
-        std::fs::write(&tmp, self.encode())
-            .map_err(|e| BbError::io(format!("write {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| BbError::io(format!("rename {} -> {}", tmp.display(), path.display()), e))
+        record::save(dir, HEARTBEAT_NAME, &self.encode(), false)
     }
-
-    /// Load the heartbeat from `dir`. Missing file is [`BbError::Io`].
-    pub fn load(dir: &Path) -> BbResult<Heartbeat> {
-        let path = dir.join(HEARTBEAT_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
-    }
-}
-
-fn heartbeat_field(line: Option<&str>, name: &str) -> BbResult<u64> {
-    let line = line
-        .ok_or_else(|| BbError::checkpoint(format!("heartbeat missing {name} line")))?;
-    let (key, value) = line
-        .split_once(' ')
-        .ok_or_else(|| BbError::checkpoint(format!("malformed heartbeat {name} line {line:?}")))?;
-    if key != name {
-        return Err(BbError::checkpoint(format!(
-            "expected heartbeat {name} line, got {line:?}"
-        )));
-    }
-    value
-        .parse()
-        .map_err(|_| BbError::checkpoint(format!("bad heartbeat {name} value")))
 }
 
 /// Stitch shard checkpoints back into one campaign checkpoint.
@@ -664,116 +480,6 @@ pub fn merge_shards(shards: &[Checkpoint]) -> BbResult<Checkpoint> {
         )));
     }
     Ok(merged)
-}
-
-fn bool_str(b: bool) -> &'static str {
-    if b {
-        "1"
-    } else {
-        "0"
-    }
-}
-
-/// `std::fmt::Write` adapter over a byte buffer (header lines are ASCII).
-fn str_sink(buf: &mut Vec<u8>) -> StrSink<'_> {
-    StrSink(buf)
-}
-
-struct StrSink<'a>(&'a mut Vec<u8>);
-
-impl std::fmt::Write for StrSink<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-pub(crate) struct Parser<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    /// Next `\n`-terminated header line as UTF-8 (without the newline).
-    pub(crate) fn line(&mut self) -> BbResult<String> {
-        let at = self.pos;
-        self.line_opt()?.ok_or_else(|| {
-            BbError::checkpoint(format!(
-                "truncated manifest (missing newline at byte offset {at})"
-            ))
-        })
-    }
-
-    /// Like [`Parser::line`], but truncation (no newline before EOF) is
-    /// `Ok(None)` so callers can tell a torn tail from corrupt data. A
-    /// complete line that is not UTF-8 is still an error.
-    pub(crate) fn line_opt(&mut self) -> BbResult<Option<String>> {
-        let rest = &self.bytes[self.pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            return Ok(None);
-        };
-        let line = &rest[..nl];
-        self.pos += nl + 1;
-        String::from_utf8(line.to_vec())
-            .map(Some)
-            .map_err(|_| BbError::checkpoint("non-UTF-8 header line"))
-    }
-
-    /// Header line `"{name} {value}"`, value parsed.
-    pub(crate) fn field<T: std::str::FromStr>(&mut self, name: &str) -> BbResult<T> {
-        self.field_str(name)?
-            .parse()
-            .map_err(|_| BbError::checkpoint(format!("bad {name} value")))
-    }
-
-    /// Header line `"{name} {value}"`, value as string.
-    pub(crate) fn field_str(&mut self, name: &str) -> BbResult<String> {
-        let line = self.line()?;
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| BbError::checkpoint(format!("malformed {name} line {line:?}")))?;
-        if key != name {
-            return Err(BbError::checkpoint(format!(
-                "expected {name} line, got {line:?}"
-            )));
-        }
-        Ok(value.to_string())
-    }
-
-    /// `len` raw bytes followed by a `\n` separator. A blob running past
-    /// EOF (truncation) is `Ok(None)` so callers can tell a torn tail from
-    /// corrupt data; a wrong terminator byte with the data fully present
-    /// means a bad length prefix — corruption, an error. So is a length
-    /// whose end offset overflows `usize`: no torn write produces one.
-    pub(crate) fn blob_opt(&mut self, len: usize, what: &str) -> BbResult<Option<&'a [u8]>> {
-        let end = self.pos.checked_add(len).ok_or_else(|| {
-            BbError::checkpoint(format!(
-                "blob length {len} for {what} overflows (byte offset {})",
-                self.pos
-            ))
-        })?;
-        if end >= self.bytes.len() {
-            return Ok(None);
-        }
-        let blob = &self.bytes[self.pos..end];
-        if self.bytes[end] != b'\n' {
-            return Err(BbError::checkpoint(format!(
-                "blob for {what} not newline-terminated (bad length?)"
-            )));
-        }
-        self.pos = end + 1;
-        Ok(Some(blob))
-    }
-}
-
-fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> BbResult<T> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| BbError::checkpoint(format!("bad {what}")))
-}
-
-fn parse_hex(tok: Option<&str>, what: &str) -> BbResult<u64> {
-    tok.and_then(|t| u64::from_str_radix(t, 16).ok())
-        .ok_or_else(|| BbError::checkpoint(format!("bad {what}")))
 }
 
 #[cfg(test)]
@@ -1017,30 +723,94 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip_and_atomic_save() {
+    fn heartbeat_encodes_the_golden_record_and_saves_atomically() {
         let hb = Heartbeat {
             windows_done: 123_456,
             units_done: 7,
             stamp_ms: 1_700_000_000_000,
         };
-        assert_eq!(Heartbeat::decode(&hb.encode()).unwrap(), hb);
+        assert_eq!(hb.encode(), include_bytes!("../testdata/sample.bbhb"));
 
         let dir = std::env::temp_dir().join(format!("bb_hb_test_{}", std::process::id()));
         hb.save(&dir).unwrap();
         assert!(!dir.join(format!("{HEARTBEAT_NAME}.tmp")).exists());
-        assert_eq!(Heartbeat::load(&dir).unwrap(), hb);
+        assert_eq!(
+            std::fs::read(dir.join(HEARTBEAT_NAME)).unwrap(),
+            hb.encode()
+        );
         // Overwrite in place — the watcher always reads a whole record.
         let hb2 = Heartbeat {
             windows_done: 200_000,
             ..hb
         };
         hb2.save(&dir).unwrap();
-        assert_eq!(Heartbeat::load(&dir).unwrap(), hb2);
+        assert_eq!(
+            std::fs::read(dir.join(HEARTBEAT_NAME)).unwrap(),
+            hb2.encode()
+        );
         std::fs::remove_dir_all(&dir).ok();
+    }
 
-        assert!(Heartbeat::decode(b"bbhb/v99\nwindows 1\n").is_err());
-        assert!(Heartbeat::decode(b"bbhb/v1\nwindows x\n").is_err());
-        assert!(Heartbeat::load(Path::new("/nonexistent_bb_hb")).is_err());
+    #[test]
+    fn encode_matches_the_golden_manifest_and_decodes_it_back() {
+        let golden = include_bytes!("../testdata/sample.bbck");
+        assert_eq!(sample().encode(), golden);
+        let decoded = Checkpoint::decode(golden).unwrap();
+        assert_eq!(decoded.key, key());
+        assert_eq!(decoded.units, sample().units);
+        assert_eq!(decoded.encode(), golden);
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_errs() {
+        let bytes = sample().encode();
+        let check = |b: &[u8]| {
+            for err in [
+                Checkpoint::decode(b).err(),
+                Checkpoint::decode_salvaging(b).err(),
+            ]
+            .into_iter()
+            .flatten()
+            {
+                assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+            }
+        };
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                flipped[at] = bytes[at] ^ mask;
+                check(&flipped);
+            }
+            flipped[at] = bytes[at];
+        }
+    }
+
+    #[test]
+    fn huge_file_count_is_an_error_not_an_abort() {
+        // `unit calib 0 0 SUM` with its file count raised: the next record
+        // is not a `file` line, so the manifest is rejected — after at most
+        // a remaining-bytes-sized pre-allocation.
+        let bytes = sample().encode();
+        let needle = b"unit calib 0 ";
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap();
+        for count in [1_000_000_000_000u64, u64::MAX] {
+            let mut bad = bytes[..at].to_vec();
+            bad.extend_from_slice(format!("unit calib {count} ").as_bytes());
+            bad.extend_from_slice(&bytes[at + needle.len()..]);
+            for err in [
+                Checkpoint::decode(&bad).unwrap_err(),
+                Checkpoint::decode_salvaging(&bad).unwrap_err(),
+            ] {
+                assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+                assert!(err.to_string().contains("expected `file`"), "{err}");
+            }
+        }
     }
 
     #[test]

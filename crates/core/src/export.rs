@@ -5,48 +5,18 @@
 //! figure). No external dependencies — the data is simple enough that a
 //! minimal writer with proper quoting suffices.
 //!
-//! Writes are crash-safe: each file is written to a `.tmp` sibling and
-//! atomically renamed into place, so a run killed mid-export never leaves a
-//! truncated CSV behind. I/O failures surface as [`BbError::Io`] with the
-//! file being written as context.
+//! Writes are crash-safe: each file goes through the one atomic writer,
+//! [`write_atomic_bytes`] (re-exported from [`crate::record`]), so a run
+//! killed mid-export never leaves a truncated CSV behind. I/O failures
+//! surface as [`BbError::Io`](crate::BbError::Io) with the file being
+//! written as context.
 
-use crate::error::{BbError, BbResult};
+pub use crate::record::write_atomic_bytes;
+
+use crate::error::BbResult;
 use crate::figures::{Coverage, Fig1, Fig2, Fig3, Fig4, Fig5};
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of atomic-writer invocations. Every writer that must
-/// never tear a file — CSV exports, checkpoint manifests, serve snapshots,
-/// heartbeats — bumps this exactly once per attempt, which is what makes
-/// the disk-full injection below deterministic at `--jobs 1`.
-static ATOMIC_WRITES: AtomicU64 = AtomicU64::new(0);
-
-/// The atomic write (1-based, in [`ATOMIC_WRITES`] order) that fails with
-/// an injected "No space left on device"; 0 = none.
-static ENOSPC_AT: AtomicU64 = AtomicU64::new(0);
-
-/// Arm the deterministic disk-full injection: the `n`-th atomic write of
-/// the process fails before anything touches the filesystem (0 disarms).
-/// `repro` arms it from its `BB_REPRO_ENOSPC=<n>` test hook at startup.
-pub fn inject_enospc_at(n: u64) {
-    ENOSPC_AT.store(n, Ordering::SeqCst);
-}
-
-/// Deterministic disk-full injection point, consulted by every atomic
-/// writer before it creates its temp file. Failing *before* the first
-/// filesystem touch is the strictest fail-closed shape: the prior artifact
-/// at `path` is untouched, no `.tmp` sibling is left behind, and no rename
-/// can tear. Returns the injected error on the trip count, `None` otherwise.
-pub(crate) fn injected_enospc(path: &Path) -> Option<BbError> {
-    let n = ATOMIC_WRITES.fetch_add(1, Ordering::SeqCst) + 1;
-    (n == ENOSPC_AT.load(Ordering::SeqCst)).then(|| {
-        BbError::io(
-            format!("write {}", path.display()),
-            std::io::Error::other("No space left on device (injected by BB_REPRO_ENOSPC)"),
-        )
-    })
-}
 
 /// Escape one CSV field (RFC 4180 quoting).
 pub fn csv_field(s: &str) -> String {
@@ -55,52 +25,6 @@ pub fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Write pre-rendered `bytes` into `path` via a temp file + atomic rename.
-///
-/// The temp file lives in the same directory as `path` (renames across
-/// filesystems are not atomic), named after the target with a `.tmp`
-/// suffix so concurrent exports to different files never collide. Shared
-/// by the CSV exporters, the checkpoint manifest writer, and the harness's
-/// replay path — everything that must never leave a torn file behind.
-///
-/// Durability ladder: the temp file is fsynced before the rename (so the
-/// new name can never point at unwritten blocks), and the containing
-/// directory is fsynced after it — the rename itself lives in the
-/// directory's metadata, and without that second sync a power loss right
-/// after this function returns can roll the directory entry back, making
-/// the file vanish even though its data blocks reached disk.
-pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> BbResult<()> {
-    if let Some(e) = injected_enospc(path) {
-        return Err(e);
-    }
-    let label = path.display().to_string();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut f = std::fs::File::create(&tmp)
-        .map_err(|e| BbError::io(format!("create {}", tmp.display()), e))?;
-    f.write_all(bytes)
-        .map_err(|e| BbError::io(format!("write {}", tmp.display()), e))?;
-    f.sync_all()
-        .map_err(|e| BbError::io(format!("sync {}", tmp.display()), e))?;
-    drop(f);
-    std::fs::rename(&tmp, path)
-        .map_err(|e| BbError::io(format!("rename {} -> {label}", tmp.display()), e))?;
-    #[cfg(unix)]
-    {
-        // Persist the rename: fsync the directory holding the new entry.
-        // Unix-only — opening a directory for sync is not portable, and the
-        // rename's atomicity (the visible guarantee) holds regardless.
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(dir) = dir {
-            std::fs::File::open(dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| BbError::io(format!("sync dir {}", dir.display()), e))?;
-        }
-    }
-    Ok(())
 }
 
 /// Coverage disclosure as a leading `#` comment line, so CSV consumers can
@@ -241,6 +165,7 @@ pub fn fig5_csv(fig: &Fig5, dir: &Path) -> BbResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BbError;
     use crate::figures::Coverage;
     use bb_stats::{Ccdf, Cdf};
 

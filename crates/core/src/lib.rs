@@ -24,7 +24,9 @@
 //! and their ASCII rendering; [`export`] writes figure data as CSV.
 //! [`serve`] and [`snapshot`] are the streaming plane: bounded-memory
 //! campaign state and the crash-safe `bbsn/v1` epoch flushes behind
-//! `repro serve`.
+//! `repro serve`. [`checkpoint`] keeps batch campaigns resumable, and
+//! [`record`] is the one writer and framed format all of them persist
+//! through.
 
 pub mod calibration;
 pub mod checkpoint;
@@ -32,6 +34,7 @@ pub mod error;
 pub mod export;
 pub mod ext;
 pub mod figures;
+pub mod record;
 pub mod serve;
 pub mod snapshot;
 pub mod study_anycast;

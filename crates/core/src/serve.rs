@@ -35,7 +35,7 @@ use crate::figures::{Coverage, Fig1};
 use crate::study_egress::MEANINGFUL_MS;
 use bb_measure::{SprayTarget, WindowRow};
 use bb_netsim::Window;
-use bb_stats::{Cdf, QuantileSketch};
+use bb_stats::{ByteCursor, Cdf, QuantileSketch};
 
 /// How a serve run aggregates the window stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -401,7 +401,7 @@ impl ServeState {
         let rest = bytes
             .strip_prefix(STATE_MAGIC.as_slice())
             .ok_or_else(|| bad("bad magic"))?;
-        let mut c = ByteCursor { rest, pos: 0 };
+        let mut c = ByteCursor::new(rest);
         let mode_tag = c.u8().ok_or_else(|| bad("missing mode"))?;
         let eps = f64::from_bits(c.u64().ok_or_else(|| bad("missing eps"))?);
         let windows_done = c.u64().ok_or_else(|| bad("missing windows_done"))?;
@@ -482,7 +482,7 @@ impl ServeState {
             }
             other => return Err(bad(&format!("unknown mode tag {other}"))),
         };
-        if c.pos != c.rest.len() {
+        if c.remaining() != 0 {
             return Err(bad("trailing bytes"));
         }
         if mode.eps() != eps {
@@ -493,40 +493,6 @@ impl ServeState {
             repr,
             windows_done,
         })
-    }
-}
-
-struct ByteCursor<'a> {
-    rest: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteCursor<'a> {
-    /// A pre-allocation for `n` decoded records, capped at the number of
-    /// `record_bytes`-sized encodings the remaining input could hold, so a
-    /// corrupt count cannot request more memory than the blob justifies.
-    fn cap(&self, n: usize, record_bytes: usize) -> usize {
-        n.min((self.rest.len() - self.pos) / record_bytes)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.rest.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-    fn u32(&mut self) -> Option<u32> {
-        let chunk: [u8; 4] = self.rest.get(self.pos..self.pos + 4)?.try_into().ok()?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(chunk))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let chunk: [u8; 8] = self.rest.get(self.pos..self.pos + 8)?.try_into().ok()?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(chunk))
-    }
-    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
-        let b = self.rest.get(self.pos..self.pos + len)?;
-        self.pos += len;
-        Some(b)
     }
 }
 
@@ -678,6 +644,32 @@ mod tests {
         assert!(s.sketch_fig1(&[]).is_err());
         let s = ServeState::new(ServeMode::Sketch { eps: 0.1 }, &[3]);
         assert!(s.into_rows().is_err());
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_errs() {
+        let mut exact = ServeState::new(ServeMode::Exact, &[2]);
+        exact.ingest(vec![vec![row(0, &[40.0, 38.0], 1.0)]], 1);
+        let mut sketch = ServeState::new(ServeMode::Sketch { eps: 0.02 }, &[2]);
+        sketch.ingest(vec![vec![row(0, &[40.0, 38.0], 1.0)]], 1);
+        let check = |b: &[u8]| {
+            if let Err(err) = ServeState::decode(b) {
+                assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+            }
+        };
+        for bytes in [exact.encode(), sketch.encode()] {
+            for cut in 0..bytes.len() {
+                check(&bytes[..cut]);
+            }
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                for mask in 1..=255u8 {
+                    flipped[at] = bytes[at] ^ mask;
+                    check(&flipped);
+                }
+                flipped[at] = bytes[at];
+            }
+        }
     }
 
     #[test]

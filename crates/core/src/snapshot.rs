@@ -4,11 +4,11 @@
 //! SIGKILL at any instant without losing or corrupting results. Every K
 //! windows (one *epoch*) it serializes its entire accumulated state — the
 //! [`crate::serve::ServeState`] blob — into a `snapshot.bbsn` file in the
-//! serve directory, written with the same atomic temp-file + fsync +
-//! rename + dir-fsync ladder as every other artifact
-//! ([`crate::export::write_atomic_bytes`]). A crash mid-flush leaves the
-//! previous epoch's snapshot intact; a restart resumes from it and
-//! replays forward to byte-identical eventual output.
+//! serve directory: a [`crate::record`] framed record, written with the
+//! same atomic temp-file + fsync + rename + dir-fsync ladder as every other
+//! artifact. A crash mid-flush leaves the previous epoch's snapshot intact;
+//! a restart resumes from it and replays forward to byte-identical
+//! eventual output.
 //!
 //! **Keying rule.** Like checkpoint manifests, a snapshot is valid only
 //! for the exact campaign that wrote it. The [`ServeKey`] pins seed,
@@ -21,8 +21,8 @@
 //! past its old horizon is the whole point of a streaming daemon, and
 //! windows already sampled are never re-sampled.
 //!
-//! **Format.** `bbsn/v1` is the same line-oriented header +
-//! length-prefixed checksummed blob shape as `bbck/v1`:
+//! **Format.** `bbsn/v1` is the record header followed by one blob, the
+//! serve state:
 //!
 //! ```text
 //! bbsn/v1
@@ -47,10 +47,8 @@
 //! it is rejected outright and the daemon exits rather than resume from
 //! a state it cannot trust.
 
-use crate::checkpoint::{fnv1a, Parser, CODE_SCHEMA};
 use crate::error::{BbError, BbResult};
-use crate::export::write_atomic_bytes;
-use std::fmt::Write as _;
+use crate::record::{self, Format, Reader, Value, Writer, CODE_SCHEMA};
 use std::path::Path;
 
 /// Snapshot file name inside a serve directory.
@@ -58,6 +56,12 @@ pub const SNAPSHOT_NAME: &str = "snapshot.bbsn";
 
 /// On-disk format version (parser compatibility).
 pub const FORMAT: &str = "bbsn/v1";
+
+static RECORD: Format = Format {
+    tag: FORMAT,
+    noun: "snapshot",
+    refusal: "refusing to resume",
+};
 
 /// Identity of one serve campaign: a snapshot is valid only for an exact
 /// match.
@@ -102,6 +106,32 @@ impl ServeKey {
     pub fn eps(&self) -> f64 {
         f64::from_bits(self.eps_bits)
     }
+
+    /// The key's header fields, in header order.
+    fn fields(&self) -> [(&'static str, Value<'_>); 7] {
+        [
+            ("seed", Value::Int(self.seed)),
+            ("scale", Value::Text(&self.scale)),
+            ("faults", Value::Text(&self.faults)),
+            ("eps", Value::Bits(self.eps_bits)),
+            ("epoch_windows", Value::Int(self.epoch_windows)),
+            ("csv", Value::Flag(self.csv)),
+            ("code_schema", Value::Int(self.code_schema.into())),
+        ]
+    }
+
+    /// Parse the header fields [`ServeKey::fields`] wrote.
+    fn read(r: &mut Reader<'_>) -> BbResult<Self> {
+        Ok(Self {
+            seed: r.field("seed")?,
+            scale: r.field("scale")?,
+            faults: r.field("faults")?,
+            eps_bits: r.field("eps_bits")?,
+            epoch_windows: r.field("epoch_windows")?,
+            csv: r.flag("csv")?,
+            code_schema: r.field("code_schema")?,
+        })
+    }
 }
 
 /// One flushed serve epoch: the key, progress counters, and the opaque
@@ -123,74 +153,18 @@ impl Snapshot {
     /// Reject the snapshot unless its key matches `expect` exactly,
     /// naming the first mismatching field.
     pub fn validate(&self, expect: &ServeKey) -> BbResult<()> {
-        let k = &self.key;
-        let mismatch = |field: &str, have: &str, want: &str| {
-            Err(BbError::checkpoint(format!(
-                "snapshot {field} mismatch: snapshot has {have}, this run wants {want} \
-                 (refusing to resume from a stale snapshot)"
-            )))
-        };
-        if k.code_schema != expect.code_schema {
-            return mismatch(
-                "code_schema",
-                &k.code_schema.to_string(),
-                &expect.code_schema.to_string(),
-            );
-        }
-        if k.seed != expect.seed {
-            return mismatch("seed", &k.seed.to_string(), &expect.seed.to_string());
-        }
-        if k.scale != expect.scale {
-            return mismatch("scale", &k.scale, &expect.scale);
-        }
-        if k.faults != expect.faults {
-            return mismatch("faults", &k.faults, &expect.faults);
-        }
-        if k.eps_bits != expect.eps_bits {
-            return mismatch(
-                "eps",
-                &format!("{}", k.eps()),
-                &format!("{}", expect.eps()),
-            );
-        }
-        if k.epoch_windows != expect.epoch_windows {
-            return mismatch(
-                "epoch_windows",
-                &k.epoch_windows.to_string(),
-                &expect.epoch_windows.to_string(),
-            );
-        }
-        if k.csv != expect.csv {
-            return mismatch(
-                "csv",
-                if k.csv { "1" } else { "0" },
-                if expect.csv { "1" } else { "0" },
-            );
-        }
-        Ok(())
+        record::check_key(&RECORD, &self.key.fields(), &expect.fields())
     }
 
     /// Serialize to `bbsn/v1` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let k = &self.key;
-        let mut head = String::new();
-        let _ = writeln!(head, "{FORMAT}");
-        let _ = writeln!(head, "seed {}", k.seed);
-        let _ = writeln!(head, "scale {}", k.scale);
-        let _ = writeln!(head, "faults {}", k.faults);
-        let _ = writeln!(head, "eps_bits {}", k.eps_bits);
-        let _ = writeln!(head, "epoch_windows {}", k.epoch_windows);
-        let _ = writeln!(head, "csv {}", if k.csv { 1 } else { 0 });
-        let _ = writeln!(head, "code_schema {}", k.code_schema);
-        let _ = writeln!(head, "windows_done {}", self.windows_done);
-        let _ = writeln!(head, "epochs {}", self.epochs);
-        let _ = writeln!(head, "coarsenings {}", self.coarsenings);
-        let _ = writeln!(head, "state {} {:016x}", self.state.len(), fnv1a(&self.state));
-        let mut out = head.into_bytes();
-        out.extend_from_slice(&self.state);
-        out.push(b'\n');
-        out.extend_from_slice(b"end\n");
-        out
+        let mut w = Writer::new(FORMAT);
+        w.key(&self.key.fields())
+            .field("windows_done", self.windows_done)
+            .field("epochs", self.epochs)
+            .field("coarsenings", self.coarsenings)
+            .blob("state", &self.state);
+        w.end()
     }
 
     /// Parse `bbsn/v1` bytes. Strict: any damage — truncation included —
@@ -198,101 +172,45 @@ impl Snapshot {
     /// torn-tail case worth salvaging; a bad snapshot means the daemon
     /// must not resume from it.
     pub fn decode(bytes: &[u8]) -> BbResult<Snapshot> {
-        if bytes.is_empty() {
-            return Err(BbError::checkpoint(
-                "snapshot is empty (0 bytes at byte offset 0) — an atomic \
-                 writer never produces this; refusing to resume",
-            ));
-        }
-        let mut p = Parser { bytes, pos: 0 };
-        let version = p.line()?;
-        if version != FORMAT {
-            return Err(BbError::checkpoint(format!(
-                "unsupported snapshot format {version:?}, this build reads {FORMAT}"
-            )));
-        }
-        let seed: u64 = p.field("seed")?;
-        let scale = p.field_str("scale")?;
-        let faults = p.field_str("faults")?;
-        let eps_bits: u64 = p.field("eps_bits")?;
-        let epoch_windows: u64 = p.field("epoch_windows")?;
-        let csv = match p.field_str("csv")?.as_str() {
-            "1" => true,
-            "0" => false,
-            other => {
-                return Err(BbError::checkpoint(format!("bad csv flag {other:?}")));
+        let mut r = Reader::open(&RECORD, bytes)?;
+        let key = ServeKey::read(&mut r)?;
+        let windows_done = r.field("windows_done")?;
+        let epochs = r.field("epochs")?;
+        let coarsenings = r.field("coarsenings")?;
+        let line = r.line()?;
+        let (len, sum) = match record::blob_line(&line)? {
+            ("state", len, sum) => (len, sum),
+            _ => {
+                return Err(BbError::checkpoint(format!(
+                    "expected state line, got {line:?}"
+                )))
             }
         };
-        let code_schema: u32 = p.field("code_schema")?;
-        let windows_done: u64 = p.field("windows_done")?;
-        let epochs: u64 = p.field("epochs")?;
-        let coarsenings: u64 = p.field("coarsenings")?;
-        let state_line = p.field_str("state")?;
-        let mut tok = state_line.split(' ');
-        let len: usize = tok
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| BbError::checkpoint("bad state length"))?;
-        let sum = tok
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| BbError::checkpoint("bad state checksum"))?;
-        let blob_at = p.pos;
-        let state = match p.blob_opt(len, "serve state")? {
-            Some(blob) => blob,
-            None => {
-                return Err(BbError::checkpoint(format!(
-                    "state blob cut at EOF (byte offset {blob_at}) — snapshots \
-                     are written atomically, refusing to resume from damage"
-                )));
-            }
-        };
-        if fnv1a(state) != sum {
-            return Err(BbError::checkpoint(format!(
-                "checksum mismatch in serve state (blob at byte offset {blob_at}) \
-                 — refusing to resume from a corrupt snapshot"
-            )));
-        }
-        match p.line_opt()? {
-            Some(l) if l == "end" => {}
-            other => {
-                return Err(BbError::checkpoint(format!(
-                    "expected `end` after state blob, got {other:?}"
-                )));
-            }
-        }
+        let at = r.pos();
+        let state = r
+            .blob(len, sum, "serve state")?
+            .ok_or_else(|| r.torn(&format!("state blob cut at EOF, byte offset {at}")))?
+            .to_vec();
+        r.end()?;
         Ok(Snapshot {
-            key: ServeKey {
-                seed,
-                scale,
-                faults,
-                eps_bits,
-                epoch_windows,
-                csv,
-                code_schema,
-            },
+            key,
             windows_done,
             epochs,
             coarsenings,
-            state: state.to_vec(),
+            state,
         })
     }
 
     /// Atomically write the snapshot into `dir`.
     pub fn save(&self, dir: &Path) -> BbResult<()> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| BbError::io(format!("create serve dir {}", dir.display()), e))?;
-        write_atomic_bytes(&dir.join(SNAPSHOT_NAME), &self.encode())
+        record::save(dir, SNAPSHOT_NAME, &self.encode(), true)
     }
 
     /// Load the snapshot from `dir`. Missing file is [`BbError::Io`] (the
     /// caller treats it as a fresh start); anything else that fails is a
     /// hard reject.
     pub fn load(dir: &Path) -> BbResult<Snapshot> {
-        let path = dir.join(SNAPSHOT_NAME);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| BbError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
+        Self::decode(&record::load(dir, SNAPSHOT_NAME)?)
     }
 }
 
@@ -318,6 +236,34 @@ mod tests {
         let back = Snapshot::decode(&bytes).expect("roundtrip");
         assert_eq!(back, s);
         assert_eq!(back.encode(), bytes);
+    }
+
+    #[test]
+    fn encode_matches_the_golden_snapshot_and_decodes_it_back() {
+        let golden = include_bytes!("../testdata/sample.bbsn");
+        assert_eq!(sample().encode(), golden);
+        assert_eq!(Snapshot::decode(golden).unwrap(), sample());
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_errs() {
+        let bytes = sample().encode();
+        let check = |b: &[u8]| {
+            if let Err(err) = Snapshot::decode(b) {
+                assert!(matches!(err, BbError::Checkpoint { .. }), "{err:?}");
+            }
+        };
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                flipped[at] = bytes[at] ^ mask;
+                check(&flipped);
+            }
+            flipped[at] = bytes[at];
+        }
     }
 
     #[test]

@@ -3,12 +3,11 @@
 use crate::error::{BbError, BbResult};
 use bb_cdn::{build_provider, Provider, ProviderConfig};
 use bb_netsim::{CongestionConfig, CongestionModel, FaultConfig, FaultPlane};
-use bb_topology::{generate, SnapshotConfig, Topology, TopologyConfig};
+use bb_topology::{generate, Fnv1a, SnapshotConfig, Topology, TopologyConfig};
 use bb_workload::{generate_workload, Workload, WorkloadConfig};
-use serde::Serialize;
 
 /// How big a world to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Small topology for tests and quick runs (~100 ASes).
     Test,
@@ -55,7 +54,7 @@ impl std::str::FromStr for Scale {
 }
 
 /// Everything needed to build a [`Scenario`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     pub seed: u64,
     pub topology: TopologyConfig,
@@ -148,7 +147,7 @@ impl ScenarioConfig {
     /// formatting, and derive output across compiler versions, and two
     /// different values can print identically.
     pub fn world_key(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.word(self.seed);
         // TopologyConfig.
         let t = &self.topology;
@@ -206,35 +205,6 @@ impl ScenarioConfig {
             provider: ProviderConfig::google_like(seed ^ 0x_1111),
             ..Self::facebook(seed, scale)
         }
-    }
-}
-
-/// FNV-1a folding helper: stable, dependency-free, and collision-safe
-/// enough for a handful of scenario configs per process.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0x_cbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x_0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-
-    fn f64(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -27,10 +27,9 @@ use bb_topology::{InterconnectId, Topology};
 
 pub mod orchestrator;
 pub mod supervisor;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -137,10 +136,10 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Panic-isolating parallel map
+// Panic-isolated attempts
 // ---------------------------------------------------------------------------
 
-/// Why one item of a [`par_map_isolated`] call failed.
+/// Why one attempt of a supervised item failed (see [`supervisor::supervise`]).
 #[derive(Debug, Clone)]
 pub struct ItemFailure {
     /// Input index of the failed item.
@@ -174,7 +173,7 @@ static PANICS_ISOLATED: AtomicUsize = AtomicUsize::new(0);
 /// Items that finished but blew their advisory deadline, since start.
 static DEADLINES_EXCEEDED: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide count of panics [`par_map_isolated`] absorbed.
+/// Process-wide count of panics absorbed by supervised attempts.
 pub fn panics_isolated() -> usize {
     PANICS_ISOLATED.load(Ordering::Relaxed)
 }
@@ -184,36 +183,16 @@ pub fn deadlines_exceeded() -> usize {
     DEADLINES_EXCEEDED.load(Ordering::Relaxed)
 }
 
-/// [`par_map`] with per-item panic isolation and an optional per-item
-/// deadline: one poisoned item yields an `Err` slot instead of taking down
-/// the whole run.
-///
-/// Shares the work-claiming engine with [`par_map`] (the wrapped closure
-/// never unwinds, so the engine's in-order slot contract is preserved).
-/// Each caught panic bumps the process-wide poison counter readable via
-/// [`panics_isolated`].
+/// Run one attempt of item `i` under `catch_unwind` plus the advisory
+/// deadline check — the [`supervisor`] retry loop's unit of work.
 ///
 /// The deadline is **advisory**: threads cannot be cancelled safely, and
 /// dropping still-running items would make output depend on machine speed,
 /// so an over-deadline item runs to completion and is *then* marked failed
 /// (deterministically — callers decide whether to use the computed value).
 /// Callers that need byte-stable output across machines simply pass `None`.
-pub fn par_map_isolated<T, R, F>(
-    items: &[T],
-    deadline: Option<std::time::Duration>,
-    f: F,
-) -> Vec<Result<R, ItemFailure>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(items, |i, item| run_attempt(i, deadline, || f(i, item)))
-}
-
-/// Run one attempt of item `i` under `catch_unwind` plus the advisory
-/// deadline check. Shared by [`par_map_isolated`] and the
-/// [`supervisor`] retry loop so both report failures identically.
+/// Each caught panic bumps the process-wide counter readable via
+/// [`panics_isolated`].
 pub(crate) fn run_attempt<R>(
     i: usize,
     deadline: Option<std::time::Duration>,
@@ -331,7 +310,12 @@ pub fn try_cached_routes(
 ) -> Result<Arc<RoutingTable>, AnnouncementError> {
     let cache = route_cache();
     let key = AnnouncementKey::new(topo, ann);
-    if let Some(table) = cache.tables.read().get(&key) {
+    if let Some(table) = cache
+        .tables
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
         cache.hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(table));
     }
@@ -344,14 +328,18 @@ pub fn try_cached_routes(
     timing::add_count("rib:entry_pool_bytes", table.entry_pool_bytes());
     timing::add_count("rib:candidates_considered", considered as usize);
     timing::add_count("rib:candidates_installed", installed as usize);
-    let mut w = cache.tables.write();
+    let mut w = cache.tables.write().unwrap_or_else(PoisonError::into_inner);
     Ok(Arc::clone(w.entry(key).or_insert(table)))
 }
 
 /// Drop every cached table (e.g. between unrelated experiment suites, or
 /// in tests that want cold-cache behavior). Hit/miss counters survive.
 pub fn clear_route_cache() {
-    route_cache().tables.write().clear();
+    route_cache()
+        .tables
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 /// `(hits, misses, resident tables)` since process start.
@@ -360,7 +348,11 @@ pub fn cache_stats() -> (usize, usize, usize) {
     (
         cache.hits.load(Ordering::Relaxed),
         cache.misses.load(Ordering::Relaxed),
-        cache.tables.read().len(),
+        cache
+            .tables
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len(),
     )
 }
 
@@ -376,9 +368,8 @@ pub mod timing {
     //! always on (a mutex push per labelled region, negligible next to
     //! route propagation); rendering is the caller's choice.
 
-    use parking_lot::Mutex;
     use std::collections::BTreeMap;
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock, PoisonError};
     use std::time::{Duration, Instant};
 
     struct Entry {
@@ -399,7 +390,9 @@ pub mod timing {
     /// Add `n` to the named event counter (e.g. RTT samples drawn). Called
     /// once per batch, never per event.
     pub fn add_count(label: &str, n: usize) {
-        let mut reg = counter_registry().lock();
+        let mut reg = counter_registry()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         *reg.entry(label.to_string()).or_insert(0) += n as u64;
     }
 
@@ -407,6 +400,7 @@ pub mod timing {
     pub fn counters() -> Vec<(String, u64)> {
         counter_registry()
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, &v)| (k.clone(), v))
             .collect()
@@ -417,6 +411,7 @@ pub mod timing {
     pub fn snapshot() -> Vec<(String, f64, usize)> {
         registry()
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, e)| (k.clone(), e.total.as_secs_f64(), e.calls))
             .collect()
@@ -424,7 +419,7 @@ pub mod timing {
 
     /// Add one observation of `label` taking `elapsed`.
     pub fn record(label: &str, elapsed: Duration) {
-        let mut reg = registry().lock();
+        let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
         let e = reg.entry(label.to_string()).or_insert(Entry {
             total: Duration::ZERO,
             calls: 0,
@@ -444,13 +439,19 @@ pub mod timing {
     /// Forget all recorded timings and counters (tests; between repro
     /// invocations).
     pub fn reset() {
-        registry().lock().clear();
-        counter_registry().lock().clear();
+        registry()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        counter_registry()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Render the timing table plus route-cache counters.
     pub fn report() -> String {
-        let reg = registry().lock();
+        let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::from("--- timing ---\n");
         let width = reg.keys().map(|k| k.len()).max().unwrap_or(8).max(8);
         for (label, e) in reg.iter() {
@@ -582,86 +583,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_map_isolated_contains_panics() {
-        let items: Vec<u64> = (0..64).collect();
-        let poisoned_before = panics_isolated();
-        // Silence the default hook while we panic on purpose.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = par_map_isolated(&items, None, |_, &x| {
-            if x % 10 == 3 {
-                panic!("poisoned item {x}");
-            }
-            x * 2
-        });
-        std::panic::set_hook(prev);
-
-        assert_eq!(out.len(), items.len());
-        for (i, r) in out.iter().enumerate() {
-            if i % 10 == 3 {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.index, i);
-                assert!(e.message.contains("poisoned item"), "{e}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
-            }
-        }
-        assert_eq!(panics_isolated() - poisoned_before, 7, "0..64 has 7 items ≡3 mod 10");
-    }
-
-    #[test]
-    fn par_map_isolated_deterministic_across_job_counts() {
-        let items: Vec<u64> = (0..100).collect();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut runs: Vec<String> = Vec::new();
-        for jobs in [1usize, 4] {
-            set_jobs(jobs);
-            let out = par_map_isolated(&items, None, |i, &x| {
-                if x == 41 {
-                    panic!("boom");
-                }
-                derive_seed(x, i as u64)
-            });
-            // Render without `elapsed` — wall-clock is measurement, not
-            // payload, and legitimately varies run to run.
-            let rendered: Vec<String> = out
-                .iter()
-                .map(|r| match r {
-                    Ok(v) => format!("ok:{v}"),
-                    Err(e) => format!("err:{}:{}:{}", e.index, e.panicked, e.message),
-                })
-                .collect();
-            runs.push(rendered.join(","));
-        }
-        std::panic::set_hook(prev);
-        set_jobs(0);
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn par_map_isolated_deadline_is_advisory() {
-        let items = [5u64];
-        let before = deadlines_exceeded();
-        let out = par_map_isolated(
-            &items,
-            Some(std::time::Duration::from_nanos(1)),
-            |_, &x| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                x
-            },
-        );
-        // The item ran to completion but is marked failed afterwards.
-        let e = out[0].as_ref().unwrap_err();
-        assert!(e.message.contains("deadline exceeded"), "{e}");
-        assert!(deadlines_exceeded() > before);
-
-        // A generous deadline passes everything through untouched.
-        let ok = par_map_isolated(&items, Some(std::time::Duration::from_secs(60)), |_, &x| x);
-        assert_eq!(*ok[0].as_ref().unwrap(), 5);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Supervised execution: retries, deterministic backoff, graceful drain.
 //!
-//! [`par_map_isolated`](crate::par_map_isolated) turns a poisoned item into
-//! an `Err` slot; this module promotes that to a real supervision policy.
-//! [`supervise`] runs items on the same work-claiming engine, but
+//! [`supervise`] runs items on the same work-claiming idea as
+//! [`par_map`](crate::par_map), with every attempt isolated: a panicking
+//! or over-deadline item becomes an `Err` slot instead of taking down the
+//! run, and on top of that
 //!
 //! * **failed items are re-run** — panics, advisory-deadline overruns —
 //!   with bounded per-item retries and a campaign-wide retry budget;
@@ -559,6 +560,78 @@ mod tests {
         }
         crate::set_jobs(0);
         assert_eq!(runs[0], runs[1]);
+    }
+
+    #[test]
+    fn no_retry_policy_isolates_every_panic() {
+        let items: Vec<u64> = (0..64).collect();
+        let poisoned_before = crate::panics_isolated();
+        let (results, report) = hushed(|| {
+            supervise(
+                &items,
+                &RetryPolicy::no_retries(),
+                None,
+                &|| false,
+                &|_, _| {},
+                |_, _, &x| {
+                    if x % 10 == 3 {
+                        panic!("poisoned item {x}");
+                    }
+                    x * 2
+                },
+            )
+        });
+        assert_eq!(results.len(), items.len());
+        for (i, r) in results.iter().enumerate() {
+            let r = r.as_ref().expect("no cancellation");
+            if i % 10 == 3 {
+                let e = r.as_ref().unwrap_err();
+                assert_eq!(e.index, i);
+                assert!(e.panicked);
+                assert!(e.message.contains("poisoned item"), "{e}");
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i as u64 * 2);
+            }
+        }
+        assert_eq!(report.panics_absorbed, 7, "0..64 has 7 items ≡3 mod 10");
+        assert_eq!(report.retries, 0);
+        // The process-wide counter is shared with concurrently running
+        // tests that panic on purpose, so it moved by at least this run's 7.
+        assert!(crate::panics_isolated() - poisoned_before >= 7);
+    }
+
+    #[test]
+    fn deadline_is_advisory() {
+        let items = [5u64];
+        let before = crate::deadlines_exceeded();
+        let (results, report) = supervise(
+            &items,
+            &RetryPolicy::no_retries(),
+            Some(Duration::from_nanos(1)),
+            &|| false,
+            &|_, _| {},
+            |_, _, &x| {
+                std::thread::sleep(Duration::from_millis(2));
+                x
+            },
+        );
+        // The item ran to completion but is marked failed afterwards.
+        let e = results[0].as_ref().unwrap().as_ref().unwrap_err();
+        assert!(e.message.contains("deadline exceeded"), "{e}");
+        assert!(!e.panicked);
+        assert!(crate::deadlines_exceeded() > before);
+        assert_eq!(report.items[0].disposition, Disposition::Failed { retries: 0 });
+
+        // A generous deadline passes everything through untouched.
+        let (ok, _) = supervise(
+            &items,
+            &RetryPolicy::no_retries(),
+            Some(Duration::from_secs(60)),
+            &|| false,
+            &|_, _| {},
+            |_, _, &x| x,
+        );
+        assert_eq!(*ok[0].as_ref().unwrap().as_ref().unwrap(), 5);
     }
 
     #[test]

@@ -21,16 +21,14 @@
 use crate::time::SimTime;
 use bb_geo::CityId;
 use bb_topology::InterconnectId;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// What a congestion process is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CongestionKey {
     /// One interconnect between two ASes.
     Link(InterconnectId),
@@ -53,7 +51,7 @@ impl CongestionKey {
 }
 
 /// Tuning knobs for the congestion plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionConfig {
     /// Simulated horizon; events are materialized across it.
     pub horizon_min: f64,
@@ -95,7 +93,7 @@ impl Default for CongestionConfig {
 }
 
 /// One transient congestion event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionEvent {
     pub start_min: f64,
     pub end_min: f64,
@@ -247,13 +245,18 @@ impl CongestionModel {
     /// handle with no lock and no hash.
     pub fn process(&self, key: CongestionKey) -> Arc<KeyProcess> {
         let code = key.encode();
-        if let Some(p) = self.cache.read().get(&code) {
+        if let Some(p) = self
+            .cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&code)
+        {
             return Arc::clone(p);
         }
         // Miss: take the write lock, then re-check. Without the re-check a
         // racing worker could materialize the same key between our read and
         // write, wasting a full event-list generation.
-        let mut cache = self.cache.write();
+        let mut cache = self.cache.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(p) = cache.get(&code) {
             MATERIALIZE_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(p);

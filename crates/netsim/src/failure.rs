@@ -12,16 +12,14 @@
 use crate::time::SimTime;
 use bb_geo::CityId;
 use bb_topology::InterconnectId;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// What can fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureKey {
     /// A whole site/PoP (power, fabric, maintenance gone wrong).
     Site(CityId),
@@ -39,7 +37,7 @@ impl FailureKey {
 }
 
 /// Outage process parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureConfig {
     /// Horizon over which outages are materialized, minutes.
     pub horizon_min: f64,
@@ -70,7 +68,7 @@ impl Default for FailureConfig {
 }
 
 /// One outage interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outage {
     pub start_min: f64,
     pub end_min: f64,
@@ -122,12 +120,17 @@ impl FailureModel {
     /// `FailureKey::Link`s.
     pub fn outages(&self, key: FailureKey, capacity_gbps: f64) -> Arc<[Outage]> {
         let code = key.encode();
-        if let Some(v) = self.cache.read().get(&code) {
+        if let Some(v) = self
+            .cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&code)
+        {
             return Arc::clone(v);
         }
         // Miss: take the write lock, then re-check — a racing worker may
         // have materialized the same key between our read and write.
-        let mut cache = self.cache.write();
+        let mut cache = self.cache.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = cache.get(&code) {
             OUTAGE_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);

@@ -26,14 +26,12 @@
 
 use crate::failure::Outage;
 use crate::time::SimTime;
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Fault-injection intensity selected by `repro --faults`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultLevel {
     /// No fault plane at all: byte-identical to the pre-fault baseline.
     #[default]
@@ -78,7 +76,7 @@ impl std::str::FromStr for FaultLevel {
 }
 
 /// Tuning knobs for the fault plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Per-attempt probe loss probability.
     pub probe_loss: f64,
@@ -212,12 +210,20 @@ impl FaultPlane {
     /// All withdrawal intervals of a route across the horizon, start-sorted
     /// and disjoint. Shared handle; materialized once per key.
     pub fn churn_events(&self, route_key: u64) -> Arc<[Outage]> {
-        if let Some(v) = self.churn_cache.read().get(&route_key) {
+        if let Some(v) = self
+            .churn_cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&route_key)
+        {
             return Arc::clone(v);
         }
         // Miss: take the write lock, then re-check — a racing worker may
         // have materialized the same route between our read and write.
-        let mut cache = self.churn_cache.write();
+        let mut cache = self
+            .churn_cache
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = cache.get(&route_key) {
             CHURN_RACES_CLOSED.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(v);

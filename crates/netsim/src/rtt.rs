@@ -18,7 +18,6 @@ use crate::path::RealizedPath;
 use crate::time::SimTime;
 use bb_topology::Topology;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Fixed per-AS-boundary router/processing cost, ms (both directions).
 pub const PER_HOP_MS: f64 = 0.25;
@@ -27,7 +26,7 @@ pub const PER_HOP_MS: f64 = 0.25;
 pub const ACCESS_BASE_MS: f64 = 2.0;
 
 /// Knobs for RTT sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttModel {
     /// Log-normal jitter sigma (per sample).
     pub jitter_sigma: f64,

@@ -1,9 +1,7 @@
 //! Fixed-bin weighted histogram.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with uniform bins plus underflow/overflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

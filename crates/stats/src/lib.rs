@@ -9,13 +9,15 @@
 //! * bootstrap confidence intervals ([`bootstrap`]) for the Fig 1 band,
 //! * streaming summaries ([`summary`]), histograms ([`histogram`]),
 //! * mergeable bounded-memory quantile sketches ([`sketch`]) for
-//!   `repro serve`'s unbounded campaigns,
+//!   `repro serve`'s unbounded campaigns, and the little-endian
+//!   [`cursor`] their binary codecs read through,
 //! * ASCII rendering of figures ([`render`]) for the `repro` binary.
 //!
 //! Everything is deterministic: bootstrap takes an explicit seed.
 
 pub mod bootstrap;
 pub mod cdf;
+pub mod cursor;
 pub mod histogram;
 pub mod quantile;
 pub mod render;
@@ -24,6 +26,7 @@ pub mod summary;
 
 pub use bootstrap::{bootstrap_median_ci, ConfidenceInterval};
 pub use cdf::{Ccdf, Cdf};
+pub use cursor::ByteCursor;
 pub use histogram::Histogram;
 pub use quantile::{
     median, median_unsorted, min_finite, quantile, quantile_select, quantile_unsorted,

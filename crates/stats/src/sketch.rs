@@ -28,7 +28,7 @@
 //! finer one — deterministic, so degraded shards still merge
 //! byte-identically.
 
-use serde::Serialize;
+use crate::cursor::ByteCursor;
 use std::collections::BTreeMap;
 
 /// Fixed-point weight resolution: weights are stored as multiples of
@@ -39,7 +39,7 @@ const WEIGHT_SCALE: f64 = (1u64 << 20) as f64;
 const MAGIC: &[u8; 8] = b"bbqs/v1\n";
 
 /// A mergeable weighted-quantile sketch with bounded relative error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     /// Coarsening level: ε at level L is `eps_at_level(base_eps_bits, L)`.
     level: u32,
@@ -292,26 +292,7 @@ impl QuantileSketch {
     /// Decode [`encode`](Self::encode)'s output. `None` on any structural
     /// mismatch (bad magic, short buffer, unsorted keys).
     pub fn decode(bytes: &[u8]) -> Option<QuantileSketch> {
-        struct Cursor<'a> {
-            rest: &'a [u8],
-            pos: usize,
-        }
-        impl Cursor<'_> {
-            fn u64(&mut self) -> Option<u64> {
-                let chunk: [u8; 8] = self.rest.get(self.pos..self.pos + 8)?.try_into().ok()?;
-                self.pos += 8;
-                Some(u64::from_le_bytes(chunk))
-            }
-            fn i32(&mut self) -> Option<i32> {
-                let chunk: [u8; 4] = self.rest.get(self.pos..self.pos + 4)?.try_into().ok()?;
-                self.pos += 4;
-                Some(i32::from_le_bytes(chunk))
-            }
-        }
-        let mut c = Cursor {
-            rest: bytes.strip_prefix(MAGIC.as_slice())?,
-            pos: 0,
-        };
+        let mut c = ByteCursor::new(bytes.strip_prefix(MAGIC.as_slice())?);
         let level = c.u64()?;
         let base_eps_bits = c.u64()?;
         let zero_w = c.u64()?;
@@ -333,7 +314,7 @@ impl QuantileSketch {
                 maps[mi].insert(i, w);
             }
         }
-        if c.pos != c.rest.len() {
+        if c.remaining() != 0 {
             return None;
         }
         let [pos_map, neg_map] = maps;
@@ -435,6 +416,23 @@ mod tests {
         assert_eq!(back.encode(), bytes);
         assert!(QuantileSketch::decode(&bytes[..bytes.len() - 1]).is_none());
         assert!(QuantileSketch::decode(b"nope").is_none());
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_is_none() {
+        let (s, _) = filled(5, 40, 0.05);
+        let bytes = s.encode();
+        for cut in 0..bytes.len() {
+            let _ = QuantileSketch::decode(&bytes[..cut]);
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                flipped[at] = bytes[at] ^ mask;
+                let _ = QuantileSketch::decode(&flipped);
+            }
+            flipped[at] = bytes[at];
+        }
     }
 
     #[test]

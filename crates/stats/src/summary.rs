@@ -1,9 +1,7 @@
 //! Streaming summary statistics (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Incremental count/mean/variance/min/max, mergeable across shards.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -1,6 +1,7 @@
 //! The topology graph: ASes + interconnects + adjacency indexes.
 
 use crate::asys::{AsClass, AsNode, ExitPolicy};
+use crate::fnv::Fnv1a;
 use crate::ids::{AsId, InterconnectId};
 use crate::link::{BusinessRel, Interconnect, LinkKind};
 use bb_geo::{Atlas, CityId};
@@ -26,7 +27,7 @@ pub struct Topology {
     /// lower-id side's perspective.
     rels: HashMap<(AsId, AsId), BusinessRel>,
     /// FNV-1a fold of every mutation applied so far (see [`Topology::fingerprint`]).
-    content_hash: u64,
+    content_hash: Fnv1a,
 }
 
 impl Topology {
@@ -38,7 +39,7 @@ impl Topology {
             links: Vec::new(),
             adj: Vec::new(),
             rels: HashMap::new(),
-            content_hash: FNV_OFFSET,
+            content_hash: Fnv1a::new(),
         }
     }
 
@@ -61,23 +62,7 @@ impl Topology {
     /// fingerprint is construction-order sensitive by design: it hashes
     /// the mutation log, not a canonicalized graph.
     pub fn fingerprint(&self) -> u64 {
-        self.content_hash
-    }
-
-    fn fold_word(&mut self, w: u64) {
-        let mut h = self.content_hash;
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.content_hash = h;
-    }
-
-    fn fold_bytes(&mut self, bytes: &[u8]) {
-        let mut h = self.content_hash;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.content_hash = h;
+        self.content_hash.finish()
     }
 
     /// Add an AS; its `id` field is assigned here.
@@ -96,17 +81,18 @@ impl Topology {
         assert!(intra_inflation >= 1.0);
         self.uid = next_uid();
         let name = name.into();
-        self.fold_word(0xA5); // mutation tag: add_as
-        self.fold_word(class as u64);
-        self.fold_bytes(name.as_bytes());
-        self.fold_word(footprint.len() as u64);
+        self.content_hash.word(0xA5); // mutation tag: add_as
+        self.content_hash.word(class as u64);
+        self.content_hash.bytes(name.as_bytes());
+        self.content_hash.word(footprint.len() as u64);
         for &c in &footprint {
-            self.fold_word(c.0 as u64);
+            self.content_hash.word(c.0 as u64);
         }
-        self.fold_word(exit_policy as u64);
-        self.fold_word(intra_inflation.to_bits());
-        self.fold_word(home_country.map_or(u64::MAX, |c| c as u64));
-        self.fold_word(user_share.to_bits());
+        self.content_hash.word(exit_policy as u64);
+        self.content_hash.word(intra_inflation.to_bits());
+        self.content_hash
+            .word(home_country.map_or(u64::MAX, |c| c as u64));
+        self.content_hash.word(user_share.to_bits());
         let id = AsId(self.ases.len() as u32);
         // Default exit fidelity by class; see `AsNode::exit_fidelity`.
         let exit_fidelity = match class {
@@ -147,13 +133,13 @@ impl Topology {
     ) -> InterconnectId {
         assert_ne!(a, b, "no self-links");
         self.uid = next_uid();
-        self.fold_word(0xB7); // mutation tag: add_interconnect
-        self.fold_word(a.0 as u64);
-        self.fold_word(b.0 as u64);
-        self.fold_word(rel as u64);
-        self.fold_word(kind as u64);
-        self.fold_word(city.0 as u64);
-        self.fold_word(capacity_gbps.to_bits());
+        self.content_hash.word(0xB7); // mutation tag: add_interconnect
+        self.content_hash.word(a.0 as u64);
+        self.content_hash.word(b.0 as u64);
+        self.content_hash.word(rel as u64);
+        self.content_hash.word(kind as u64);
+        self.content_hash.word(city.0 as u64);
+        self.content_hash.word(capacity_gbps.to_bits());
         assert!(
             self.ases[a.index()].present_in(city),
             "{} not present in {city}",
@@ -195,9 +181,9 @@ impl Topology {
     pub fn set_exit_fidelity(&mut self, asn: AsId, fidelity: f64) {
         assert!((0.0..=1.0).contains(&fidelity));
         self.uid = next_uid();
-        self.fold_word(0xC1); // mutation tag: set_exit_fidelity
-        self.fold_word(asn.0 as u64);
-        self.fold_word(fidelity.to_bits());
+        self.content_hash.word(0xC1); // mutation tag: set_exit_fidelity
+        self.content_hash.word(asn.0 as u64);
+        self.content_hash.word(fidelity.to_bits());
         self.ases[asn.index()].exit_fidelity = fidelity;
     }
 
@@ -209,9 +195,9 @@ impl Topology {
             fp.push(city);
             fp.sort();
             self.uid = next_uid();
-            self.fold_word(0xD3); // mutation tag: extend_footprint
-            self.fold_word(asn.0 as u64);
-            self.fold_word(city.0 as u64);
+            self.content_hash.word(0xD3); // mutation tag: extend_footprint
+            self.content_hash.word(asn.0 as u64);
+            self.content_hash.word(city.0 as u64);
         }
     }
 
@@ -305,9 +291,6 @@ impl Topology {
         v
     }
 }
-
-const FNV_OFFSET: u64 = 0x_cbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn next_uid() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -20,6 +20,7 @@
 
 pub mod asys;
 pub mod caida;
+pub mod fnv;
 pub mod generator;
 pub mod graph;
 pub mod ids;
@@ -30,6 +31,7 @@ pub use asys::{AsClass, AsNode, ExitPolicy};
 pub use caida::{
     build_from_snapshot, load_snapshot_file, parse_caida, CaidaError, CaidaGraph, SnapshotConfig,
 };
+pub use fnv::{fnv1a, Fnv1a};
 pub use generator::{generate, TopologyConfig};
 pub use graph::Topology;
 pub use ids::{AsId, InterconnectId};

@@ -129,7 +129,7 @@ use beating_bgp::core::ext::{
     split_tcp,
 };
 use beating_bgp::core::checkpoint::{CampaignKey, Checkpoint, Heartbeat, UnitResult};
-use beating_bgp::core::{calibration, export, study_anycast, study_egress, study_tiers};
+use beating_bgp::core::{calibration, export, record, study_anycast, study_egress, study_tiers};
 use beating_bgp::core::{BbResult, Scale, Scenario, ScenarioConfig};
 use beating_bgp::exec::supervisor;
 use beating_bgp::exec::timing;
@@ -606,7 +606,7 @@ type HookParser = fn(&mut Hooks, &str) -> Result<(), String>;
 /// scrubs all of them from its children's environment.
 const HOOKS: [(&str, HookParser); 6] = [
     ("BB_REPRO_ENOSPC", |_, v| {
-        num(v, |_| true, &format!("bad write count {v:?}")).map(export::inject_enospc_at)
+        num(v, |_| true, &format!("bad write count {v:?}")).map(record::inject_enospc_at)
     }),
     ("BB_REPRO_POISON", |h, v| {
         put(

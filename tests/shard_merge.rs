@@ -155,3 +155,38 @@ fn shard_without_checkpoint_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "spec {bad:?} must exit 2");
     }
 }
+
+#[test]
+fn crafted_unit_file_count_exits_2_for_merge_and_resume() {
+    let base = tmpdir("filecount");
+    let ck = base.join("ck");
+    let seeded = run(&[
+        "calib", "--scale", "test", "--seed", "42",
+        "--checkpoint", ck.to_str().unwrap(),
+    ]);
+    assert!(seeded.status.success(), "{seeded:?}");
+    let manifest = ck.join("checkpoint.bbck");
+    let text = String::from_utf8(std::fs::read(&manifest).unwrap()).unwrap();
+    let needle = "unit calib 0 ";
+    assert!(text.contains(needle), "{text}");
+
+    // A file count no manifest could hold once asked the allocator for
+    // that many entries up front: an abort (10^12) or a capacity-overflow
+    // panic (u64::MAX) instead of a named error.
+    for count in ["1000000000000", "18446744073709551615"] {
+        std::fs::write(&manifest, text.replacen(needle, &format!("unit calib {count} "), 1))
+            .unwrap();
+        for args in [
+            vec!["merge", ck.to_str().unwrap()],
+            vec!["calib", "--scale", "test", "--seed", "42", "--resume", ck.to_str().unwrap()],
+        ] {
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?} with {count} files: {out:?}");
+            assert!(out.stdout.is_empty(), "{args:?}: a rejected manifest prints nothing");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("expected `file`"), "{args:?}: {err}");
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&base);
+}
