@@ -54,7 +54,11 @@ impl std::str::FromStr for Scale {
 }
 
 /// Everything needed to build a [`Scenario`].
-#[derive(Debug, Clone)]
+///
+/// Equal configs build the same world and yield the same studies, so `==`
+/// is the key a driver uses to serve one computed study to every caller
+/// whose config matches.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     pub seed: u64,
     pub topology: TopologyConfig,
@@ -340,6 +344,43 @@ mod tests {
         let mut tweaked = base.clone();
         tweaked.exit_fidelity_factor = f64::from_bits(base.exit_fidelity_factor.to_bits() + 1);
         assert_ne!(base.world_key(), tweaked.world_key());
+    }
+
+    #[test]
+    fn config_equality_sees_congestion_bits_and_faults() {
+        // `==` decides whether an experiment arm may read the driver's
+        // shared study, so a tweaked arm must never compare equal to the
+        // default world — not even by one bit of one congestion knob.
+        fn bump(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() + 1);
+        }
+        let tweaks: [fn(&mut CongestionConfig); 13] = [
+            |c| bump(&mut c.horizon_min),
+            |c| bump(&mut c.base_util.0),
+            |c| bump(&mut c.base_util.1),
+            |c| bump(&mut c.diurnal_amp.0),
+            |c| bump(&mut c.diurnal_amp.1),
+            |c| bump(&mut c.link_events_per_day),
+            |c| bump(&mut c.metro_events_per_day),
+            |c| bump(&mut c.lastmile_events_per_day),
+            |c| bump(&mut c.event_duration_mean_min),
+            |c| bump(&mut c.event_severity.0),
+            |c| bump(&mut c.event_severity.1),
+            |c| bump(&mut c.queue_d0_ms),
+            |c| bump(&mut c.max_util),
+        ];
+        let base = ScenarioConfig::facebook(7, Scale::Test);
+        assert_eq!(base, ScenarioConfig::facebook(7, Scale::Test));
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut tweaked = base.clone();
+            tweak(&mut tweaked.congestion);
+            assert_ne!(base, tweaked, "congestion field {i}");
+            // The world itself is unchanged: only the study differs.
+            assert_eq!(base.world_key(), tweaked.world_key());
+        }
+        let mut faulted = base.clone();
+        faulted.faults = Some(bb_netsim::FaultConfig::light());
+        assert_ne!(base, faulted);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Configuration for atlas generation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtlasConfig {
     pub seed: u64,
     /// Scales the number of cities per country (1.0 ⇒ up to ~10 for the

@@ -51,7 +51,7 @@ impl CongestionKey {
 }
 
 /// Tuning knobs for the congestion plane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CongestionConfig {
     /// Simulated horizon; events are materialized across it.
     pub horizon_min: f64,

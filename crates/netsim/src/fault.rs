@@ -76,7 +76,7 @@ impl std::str::FromStr for FaultLevel {
 }
 
 /// Tuning knobs for the fault plane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Per-attempt probe loss probability.
     pub probe_loss: f64,

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 /// Knobs for topology generation. Defaults give a ~400-AS Internet that
 /// runs Study A end-to-end in seconds; tests shrink it further.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     pub seed: u64,
     pub atlas: AtlasConfig,

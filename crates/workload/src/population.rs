@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Workload generation knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     pub seed: u64,
     /// Log-normal sigma of per-prefix activity (spread of traffic weights

@@ -1717,8 +1717,9 @@ fn run_campaign(o: &Opts, hooks: Hooks) {
     let want = |name: &str| experiment == "all" || experiment == name;
     // Injecting the fault level here (not inside ScenarioConfig's presets)
     // keeps library callers fault-free by default; every world the driver
-    // builds — including the fresh ones in xpeer/xablate — goes through
-    // `with_faults`.
+    // builds — the shared ones below and the arms of xpeer/xablate — goes
+    // through `with_faults`, so an xablate arm whose config `==` a shared
+    // world's reuses that world and its study instead of rebuilding them.
     let with_faults = |mut cfg: ScenarioConfig| {
         cfg.faults = o.faults.config();
         cfg.snapshot = o.snapshot.clone();
@@ -2011,10 +2012,27 @@ fn run_campaign(o: &Opts, hooks: Hooks) {
                 let mut out =
                     String::from("X-ABLATE: modeling-mechanism ablations (quality deltas)\n");
 
+                // An arm whose config equals a shared world's reads that
+                // world (and, for egress, its study) instead of rebuilding
+                // it. Every other arm is one-shot: built, studied and
+                // dropped here, never memoised, since a second resident
+                // spray dataset would cost peak memory. One-shot arms run
+                // before the wait on the shared egress study, so under
+                // `--jobs > 1` they overlap fig1's run of it.
+
                 // (1) Correlated congestion: without shared destination-side
                 // keys, performance-aware routing finds far more exploitable
                 // windows — the pre-2010 literature's world.
-                out.push_str("  [correlated congestion]\n");
+                let egress_row = |label: &str, study: &study_egress::EgressStudy| {
+                    format!(
+                        "    {label:<22} median-improvable>=5ms {:.1}%  windows-improvable {:.1}%  degrade-together {:.0}%",
+                        study.fig1.frac_improvable_5ms * 100.0,
+                        study.episodes.frac_windows_improvable * 100.0,
+                        study.episodes.degrade_together * 100.0
+                    )
+                };
+                // A `None` row is served by the shared egress study, below.
+                let mut congestion_rows = Vec::new();
                 for (label, metro, lastmile, link) in [
                     ("correlated (default)", 0.10, 0.35, 0.25),
                     ("independent", 0.0, 0.0, 2.0),
@@ -2029,40 +2047,56 @@ fn run_campaign(o: &Opts, hooks: Hooks) {
                         cfg.congestion.event_duration_mean_min = 90.0;
                         cfg.congestion.event_severity = (0.35, 0.7);
                     }
-                    let scenario = Scenario::try_build(cfg)?;
-                    let study = study_egress::run(&scenario, &spray_cfg(o.scale))?;
-                    writeln!(
-                        out,
-                        "    {label:<22} median-improvable>=5ms {:.1}%  windows-improvable {:.1}%  degrade-together {:.0}%",
-                        study.fig1.frac_improvable_5ms * 100.0,
-                        study.episodes.frac_windows_improvable * 100.0,
-                        study.episodes.degrade_together * 100.0
-                    )
-                    .unwrap();
+                    let row = if cfg == facebook().config {
+                        None
+                    } else {
+                        let scenario = Scenario::try_build(cfg)?;
+                        let study = study_egress::run(&scenario, &spray_cfg(o.scale))?;
+                        Some(egress_row(label, &study))
+                    };
+                    congestion_rows.push((label, row));
                 }
 
                 // (2) Exit fidelity: perfectly geographic exits kill most
-                // anycast misdirection.
-                out.push_str("  [exit fidelity]\n");
+                // anycast misdirection. Each arm runs its own short beacon
+                // campaign, on the shared world when the config matches.
+                let mut exit_rows = String::new();
                 for (label, factor) in [("sloppy (default)", 0.72_f64), ("perfect geo", 1.0)] {
                     let mut cfg = with_faults(ScenarioConfig::microsoft(o.seed, o.scale));
                     cfg.exit_fidelity_factor = factor;
-                    let scenario = Scenario::try_build(cfg)?;
+                    let fresh;
+                    let scenario = if cfg == microsoft().config {
+                        microsoft()
+                    } else {
+                        fresh = Scenario::try_build(cfg)?;
+                        &fresh
+                    };
                     let study = study_anycast::run(
-                        &scenario,
+                        scenario,
                         &BeaconConfig {
                             rounds: 4,
                             ..Default::default()
                         },
                     )?;
                     writeln!(
-                        out,
+                        exit_rows,
                         "    {label:<22} anycast within 10ms {:.1}%  tail>=100ms {:.1}%",
                         study.fig3.frac_within_10ms * 100.0,
                         study.fig3.frac_gt_100ms * 100.0
                     )
                     .unwrap();
                 }
+
+                out.push_str("  [correlated congestion]\n");
+                for (label, row) in congestion_rows {
+                    let row = match row {
+                        Some(row) => row,
+                        None => egress_row(label, egress_study()?),
+                    };
+                    writeln!(out, "{row}").unwrap();
+                }
+                out.push_str("  [exit fidelity]\n");
+                out.push_str(&exit_rows);
                 out.push('\n');
                 text(out)
             }),
@@ -2204,6 +2238,11 @@ fn run_campaign(o: &Opts, hooks: Hooks) {
                 beating_bgp::measure::progress::windows_done(),
                 units.load(Ordering::Relaxed) as u64,
             );
+            // Beats come from the progress hook and from `on_final` on
+            // different workers, and every save goes through the same
+            // `heartbeat.bbhb.tmp`: unserialized, one writer's rename can
+            // move the other's temp file away and fail its rename.
+            let _serial = shared.1.lock().unwrap_or_else(|e| e.into_inner());
             timing::time("checkpoint:heartbeat", || {
                 if let Err(e) = hb.save(&shared.0) {
                     fail_closed(Cmd::Run, "heartbeat write", &e, &shared.0);

@@ -6,6 +6,8 @@
 //! to the unsharded run at the same seed/scale — for `--jobs 1` and
 //! `--jobs 4` alike — shards print nothing on stdout, and mismatched or
 //! incomplete shard sets are rejected with exit 2, never silently merged.
+//! A single experiment run on its own is the smallest slice: it must print
+//! exactly its block of the full run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -97,6 +99,25 @@ fn three_shards_merge_byte_identical_across_job_counts() {
 
         let _ = std::fs::remove_dir_all(&base);
     }
+}
+
+#[test]
+fn standalone_xablate_prints_its_block_of_all() {
+    // xablate's default congestion arm reads the shared egress study that
+    // fig1 also uses. Run alone, no fig1 has computed it first, and the
+    // rows must still match the full campaign's byte for byte.
+    let all = run(&["all", "--scale", "test", "--seed", "42"]);
+    assert!(all.status.success(), "full run failed");
+    let alone = run(&["xablate", "--scale", "test", "--seed", "42"]);
+    assert!(alone.status.success(), "standalone xablate failed");
+    let (all, alone) = (
+        String::from_utf8(all.stdout).unwrap(),
+        String::from_utf8(alone.stdout).unwrap(),
+    );
+    assert!(alone.starts_with("X-ABLATE:"), "{alone}");
+    assert!(alone.contains("correlated (default)"), "{alone}");
+    assert!(alone.ends_with("\n\n"), "{alone:?}");
+    assert_eq!(all.matches(alone.as_str()).count(), 1, "{alone}\nnot a block of\n{all}");
 }
 
 #[test]

@@ -72,6 +72,28 @@ fn timing_json_emits_schema_v1() {
 }
 
 #[test]
+fn full_campaign_sprays_each_distinct_world_once() {
+    // fig1 and xablate's "correlated (default)" arm share one egress study,
+    // so `all` sprays two worlds: the default one and the "independent"
+    // arm's.
+    let out_path = std::env::temp_dir().join(format!("bb_perf_all_{}.json", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["all", "--scale", "test", "--seed", "42", "--jobs", "1", "--timing-json"])
+        .arg(&out_path)
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "repro exited with {status}");
+
+    let j = std::fs::read_to_string(&out_path).expect("report written");
+    std::fs::remove_file(&out_path).ok();
+    let windows = j
+        .lines()
+        .find(|l| l.contains("\"label\": \"spray:windows\""))
+        .unwrap_or_else(|| panic!("no spray:windows phase in report:\n{j}"));
+    assert!(windows.contains("\"calls\": 2}"), "{windows}");
+}
+
+#[test]
 fn timing_json_counts_fault_activity_under_light_faults() {
     let out_path =
         std::env::temp_dir().join(format!("bb_perf_faults_{}.json", std::process::id()));
