@@ -274,6 +274,7 @@ mod tests {
 
     #[test]
     fn beacons_cover_most_prefixes() {
+        let _ticks = crate::progress::test_lock();
         let (_, ms) = campaign();
         assert!(!ms.is_empty());
         let prefixes: std::collections::HashSet<_> = ms.iter().map(|m| m.prefix).collect();
@@ -282,6 +283,7 @@ mod tests {
 
     #[test]
     fn measurements_are_positive_and_bounded() {
+        let _ticks = crate::progress::test_lock();
         let (_, ms) = campaign();
         for m in &ms {
             assert!(m.anycast_rtt_ms > 0.0 && m.anycast_rtt_ms < 1000.0);
@@ -294,6 +296,7 @@ mod tests {
 
     #[test]
     fn anycast_mostly_close_to_best_unicast() {
+        let _ticks = crate::progress::test_lock();
         // §3.2.1's headline: "most of the time, anycast performs as well as
         // the best possible unicast front-end". With everything announcing
         // everywhere, the catchment is usually the nearby site.
@@ -311,6 +314,7 @@ mod tests {
 
     #[test]
     fn unicast_count_respects_config() {
+        let _ticks = crate::progress::test_lock();
         let (_, ms) = campaign();
         for m in &ms {
             assert!(m.unicast_rtt_ms.len() <= 4);
@@ -320,6 +324,7 @@ mod tests {
 
     #[test]
     fn rounds_have_distinct_times() {
+        let _ticks = crate::progress::test_lock();
         let (_, ms) = campaign();
         let times: std::collections::HashSet<u64> =
             ms.iter().map(|m| m.time.minutes().to_bits()).collect();
@@ -328,6 +333,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
+        let _ticks = crate::progress::test_lock();
         let (_, a) = campaign();
         let (_, b) = campaign();
         assert_eq!(a.len(), b.len());
@@ -338,6 +344,7 @@ mod tests {
 
     #[test]
     fn faulted_beacons_flag_incomplete_rows() {
+        let _ticks = crate::progress::test_lock();
         use bb_netsim::{FaultConfig, FaultPlane};
         let mut topo = generate(&TopologyConfig::small(91));
         let provider = build_provider(&mut topo, &ProviderConfig::microsoft_like(9));

@@ -81,6 +81,16 @@ pub mod progress {
         WINDOWS.store(0, Ordering::Relaxed);
     }
 
+    /// Serialises the lib tests that tick the process-wide counter: each
+    /// holds the guard for its whole body, so an exact count taken inside
+    /// one test never includes another test's windows.
+    #[cfg(test)]
+    pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed test poisons the lock; the counter it guards stays valid.
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -88,8 +98,9 @@ pub mod progress {
 
         #[test]
         fn hook_fires_every_n_windows() {
-            // Serialize against other tests via the write lock semantics:
-            // this test owns the global hook for its duration.
+            // This test owns the counter and the global hook for its
+            // duration.
+            let _ticks = test_lock();
             reset();
             let fired = Arc::new(AtomicUsize::new(0));
             let f = fired.clone();

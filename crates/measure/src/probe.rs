@@ -221,6 +221,7 @@ mod tests {
 
     #[test]
     fn vantage_points_span_many_countries() {
+        let _ticks = crate::progress::test_lock();
         let (topo, _, vps, _) = campaign();
         let countries: std::collections::HashSet<_> = vps.iter().map(|v| v.country).collect();
         assert!(countries.len() >= topo.atlas.countries.len() / 2);
@@ -228,6 +229,7 @@ mod tests {
 
     #[test]
     fn both_tiers_probed() {
+        let _ticks = crate::progress::test_lock();
         let (_, _, _, probes) = campaign();
         let prem = probes.iter().filter(|p| p.tier == Tier::Premium).count();
         let std_ = probes.iter().filter(|p| p.tier == Tier::Standard).count();
@@ -236,6 +238,7 @@ mod tests {
 
     #[test]
     fn standard_ingress_is_at_datacenter_distance() {
+        let _ticks = crate::progress::test_lock();
         // Standard-tier probes must enter at the DC, so their ingress
         // distance equals VP→DC distance — usually far.
         let (_, _, _, probes) = campaign();
@@ -249,6 +252,7 @@ mod tests {
 
     #[test]
     fn premium_ingress_close_more_often_than_standard() {
+        let _ticks = crate::progress::test_lock();
         let (_, _, _, probes) = campaign();
         let frac_close = |tier: Tier| {
             let (close, total) = probes.iter().filter(|p| p.tier == tier).fold(
@@ -269,6 +273,7 @@ mod tests {
 
     #[test]
     fn rtts_are_sane() {
+        let _ticks = crate::progress::test_lock();
         let (_, _, _, probes) = campaign();
         for p in &probes {
             assert!(p.rtt_ms > 0.0 && p.rtt_ms < 2000.0, "{}", p.rtt_ms);
@@ -277,6 +282,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
+        let _ticks = crate::progress::test_lock();
         let (_, _, _, a) = campaign();
         let (_, _, _, b) = campaign();
         assert_eq!(a.len(), b.len());
@@ -287,6 +293,7 @@ mod tests {
 
     #[test]
     fn faulted_probes_emit_nan_for_lost_rounds() {
+        let _ticks = crate::progress::test_lock();
         use bb_netsim::{FaultConfig, FaultPlane};
         let mut topo = generate(&TopologyConfig::small(101));
         let provider = build_provider(&mut topo, &ProviderConfig::google_like(10));

@@ -12,9 +12,9 @@ use bb_bgp::{provider_rib, Announcement, ProviderRouteClass};
 use bb_cdn::Provider;
 use bb_geo::CityId;
 use bb_netsim::{
-    batch_session_min_z, realize_path, sample_min_rtt, CongestionKey, CongestionModel,
-    CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable, PathPlan, PathPlanBatch,
-    RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
+    batch_median_min_z, batch_session_min_z, realize_path, sample_min_rtt, CongestionKey,
+    CongestionModel, CongestionPlan, DiurnalTable, FaultPlane, JitterScratch, OffsetTable,
+    PathPlan, PathPlanBatch, RealizeSpec, RealizedPath, RttModel, SimTime, UtilProbe, Window,
 };
 use bb_topology::{AsId, InterconnectId, Topology};
 use bb_workload::{PrefixId, Workload};
@@ -139,22 +139,27 @@ impl SprayDataset {
 /// never changes the reported totals).
 #[derive(Debug, Default, Clone, Copy)]
 struct KernelTally {
-    /// `batch_session_min_z` invocations.
+    /// Batch jitter kernel invocations.
     batches: usize,
-    /// `cos` evaluations elided by the batch kernel's `-r > min` cutoff.
+    /// Exact `cos` (and `ln`) evaluations the kernels' bound cut elided.
     cos_skipped: usize,
+    /// Median-kernel cells whose approximate session minima sat too close
+    /// to name the median session, so every session ran exactly.
+    bound_fallbacks: usize,
 }
 
 impl KernelTally {
     fn merge(&mut self, other: KernelTally) {
         self.batches += other.batches;
         self.cos_skipped += other.cos_skipped;
+        self.bound_fallbacks += other.bound_fallbacks;
     }
 
     fn publish(&self) {
         if self.batches > 0 {
             bb_exec::timing::add_count("kernel:spray:batches", self.batches);
             bb_exec::timing::add_count("kernel:spray:cos_skipped", self.cos_skipped);
+            bb_exec::timing::add_count("kernel:spray:bound_fallbacks", self.bound_fallbacks);
         }
     }
 }
@@ -312,7 +317,8 @@ impl SprayEngine {
         // with an odd session count the window median — an exact order
         // statistic under `quantile_select` — commutes with the map too:
         // one exp per (window, route) instead of one per session, same
-        // bits.
+        // bits. `batch_median_min_z` returns that median deviate directly,
+        // running exact `ln`/`cos` only for the median session's draws.
         let monotone_jitter = rtt_model.jitter_sigma >= 0.0 && rtt_model.jitter_median_ms >= 0.0;
         let odd_sessions = cfg.sessions_per_window % 2 == 1;
         let jitter_of =
@@ -359,18 +365,24 @@ impl SprayEngine {
                             let mut rng = StdRng::seed_from_u64(route_rng_seed);
                             if monotone_jitter {
                                 ktally.batches += 1;
-                                ktally.cos_skipped += batch_session_min_z(
-                                    &mut rng,
-                                    cfg.sessions_per_window,
-                                    cfg.rtt_samples_per_session,
-                                    &mut jscratch,
-                                    &mut min_z,
-                                );
                                 let med = if odd_sessions {
-                                    let z =
-                                        bb_stats::quantile::quantile_select(&mut min_z, 0.5);
-                                    det + jitter_of(z)
+                                    let m = batch_median_min_z(
+                                        &mut rng,
+                                        cfg.sessions_per_window,
+                                        cfg.rtt_samples_per_session,
+                                        &mut jscratch,
+                                    );
+                                    ktally.cos_skipped += m.cos_skipped;
+                                    ktally.bound_fallbacks += m.fell_back as usize;
+                                    det + jitter_of(m.z)
                                 } else {
+                                    ktally.cos_skipped += batch_session_min_z(
+                                        &mut rng,
+                                        cfg.sessions_per_window,
+                                        cfg.rtt_samples_per_session,
+                                        &mut jscratch,
+                                        &mut min_z,
+                                    );
                                     for (slot, &z) in sessions.iter_mut().zip(&min_z) {
                                         *slot = det + jitter_of(z);
                                     }
@@ -645,6 +657,7 @@ mod tests {
 
     #[test]
     fn campaign_produces_rows_for_most_prefixes() {
+        let _ticks = crate::progress::test_lock();
         let (_, ds) = tiny_campaign();
         assert!(!ds.targets.is_empty());
         assert!(!ds.rows.is_empty());
@@ -654,6 +667,7 @@ mod tests {
 
     #[test]
     fn most_targets_have_route_diversity() {
+        let _ticks = crate::progress::test_lock();
         // §2.3.1: "For most clients, the PoP serving the client has at
         // least three routes to the client's prefix."
         let (_, ds) = tiny_campaign();
@@ -667,6 +681,7 @@ mod tests {
 
     #[test]
     fn rows_have_consistent_shapes() {
+        let _ticks = crate::progress::test_lock();
         let (_, ds) = tiny_campaign();
         for row in &ds.rows {
             assert_eq!(row.route_median_ms.len(), row.route_util.len());
@@ -687,6 +702,7 @@ mod tests {
 
     #[test]
     fn faulted_campaign_flags_degraded_windows() {
+        let _ticks = crate::progress::test_lock();
         use bb_netsim::{FaultConfig, FaultPlane};
         let mut topo = generate(&TopologyConfig::small(81));
         let provider = build_provider(&mut topo, &ProviderConfig::facebook_like(8));
@@ -750,6 +766,7 @@ mod tests {
 
     #[test]
     fn preferred_route_is_first_by_policy() {
+        let _ticks = crate::progress::test_lock();
         let (_, ds) = tiny_campaign();
         for (ti, t) in ds.targets.iter().enumerate() {
             let classes = ds.classes(ti);
@@ -762,6 +779,7 @@ mod tests {
 
     #[test]
     fn serving_pop_is_nearby() {
+        let _ticks = crate::progress::test_lock();
         // Half of traffic within 500 km is checked at the study level; here
         // just assert the PoP is the nearest one with routes, i.e. not
         // absurdly far for most prefixes.
@@ -787,6 +805,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
+        let _ticks = crate::progress::test_lock();
         let (_, a) = tiny_campaign();
         let (_, b) = tiny_campaign();
         assert_eq!(a.rows.len(), b.rows.len());
@@ -798,6 +817,7 @@ mod tests {
 
     #[test]
     fn routes_end_at_client_city() {
+        let _ticks = crate::progress::test_lock();
         let (topo, ds) = tiny_campaign();
         let _ = topo;
         for t in &ds.targets {

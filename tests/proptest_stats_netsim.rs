@@ -145,6 +145,54 @@ proptest! {
         prop_assert!(checked > 0, "no realizable path in topology {}", topo_seed);
     }
 
+    /// The batch jitter kernels reproduce the scalar reference bit for
+    /// bit: `sessions` calls of `sample_min_rtt` then `quantile_select`
+    /// for the median kernel (odd counts), the per-session minima for
+    /// `batch_session_min_z`, and the generator ends at the same stream
+    /// position either way.
+    #[test]
+    fn batch_jitter_kernels_match_scalar_sessions(
+        sessions in 1usize..=15,
+        samples in 1usize..=8,
+        seed in 0u64..u64::MAX,
+    ) {
+        use beating_bgp::netsim::{
+            batch_median_min_z, batch_session_min_z, sample_min_rtt, JitterScratch, RttModel,
+        };
+        use beating_bgp::stats::quantile_select;
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+
+        let rm = RttModel::default();
+        let jitter = |z: f64| 10.0 + rm.jitter_median_ms * (rm.jitter_sigma * z).exp();
+        let mut scratch = JitterScratch::default();
+        let mut min_z = Vec::new();
+        for cell in 0..64u64 {
+            let cell_seed = seed ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut scalar_rng = StdRng::seed_from_u64(cell_seed);
+            let mut scalar: Vec<f64> = (0..sessions)
+                .map(|_| sample_min_rtt(10.0, &rm, samples, &mut scalar_rng))
+                .collect();
+            let scalar_next = scalar_rng.next_u64();
+
+            let mut rng = StdRng::seed_from_u64(cell_seed);
+            batch_session_min_z(&mut rng, sessions, samples, &mut scratch, &mut min_z);
+            prop_assert_eq!(rng.next_u64(), scalar_next);
+            for (s, &z) in scalar.iter().zip(&min_z) {
+                prop_assert_eq!(s.to_bits(), jitter(z).to_bits(), "session min, seed {}", cell_seed);
+            }
+
+            if sessions % 2 == 1 {
+                let mut rng = StdRng::seed_from_u64(cell_seed);
+                let got = batch_median_min_z(&mut rng, sessions, samples, &mut scratch);
+                prop_assert_eq!(rng.next_u64(), scalar_next);
+                let want = quantile_select(&mut scalar, 0.5);
+                prop_assert_eq!(want.to_bits(), jitter(got.z).to_bits(), "median, seed {}", cell_seed);
+                prop_assert!(got.cos_skipped < sessions * samples);
+            }
+        }
+    }
+
     /// Quantile edge cases: q=0 is the minimum, q=1 is the maximum, equal
     /// weights reduce the weighted quantile to the unweighted one, and
     /// duplicate-heavy inputs stay within the data range. `quantile_select`

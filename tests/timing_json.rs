@@ -48,6 +48,16 @@ fn timing_json_emits_schema_v1() {
         assert!(j.contains(key), "missing {key} in report:\n{j}");
     }
 
+    // The jitter kernels report their own work: exact `cos` calls not made
+    // can never exceed the samples drawn.
+    let cos_skipped = counter(&j, "kernel:spray:cos_skipped");
+    let samples = counter(&j, "samples:spray");
+    counter(&j, "kernel:spray:bound_fallbacks");
+    assert!(
+        cos_skipped <= samples,
+        "cos_skipped {cos_skipped} > samples {samples}"
+    );
+
     // A fault-free run reports zero fault activity.
     assert!(
         j.contains("\"faults\": {\"samples_lost\": 0, \"timeouts\": 0, \"retries\": 0, \"windows_dropped\": 0, \"panics_isolated\": 0}"),
@@ -69,6 +79,18 @@ fn timing_json_emits_schema_v1() {
     assert_eq!(j.matches('[').count(), j.matches(']').count());
     assert!(!j.contains(",\n}"));
     assert!(!j.contains(",\n  ]"));
+}
+
+/// The count of counter `label` in a perf report; panics when absent.
+fn counter(report: &str, label: &str) -> u64 {
+    let prefix = format!("{{\"label\": \"{label}\", \"count\": ");
+    let line = report
+        .lines()
+        .find_map(|l| l.trim().strip_prefix(prefix.as_str()))
+        .unwrap_or_else(|| panic!("no {label} counter in report:\n{report}"));
+    line.trim_end_matches([',', '}'])
+        .parse()
+        .expect("integer count")
 }
 
 #[test]
